@@ -18,7 +18,7 @@
 //	cactus figure <1..9>
 //	cactus table <1..4>
 //	cactus bench [run|check|scaling] [flags]
-//	cactus serve [-addr HOST:PORT] [-lru N] [-max-inflight N] [-timeout D]
+//	cactus serve [-addr HOST:PORT] [-max-inflight N] [-timeout D]
 //	cactus all
 //
 // Flags:
@@ -76,8 +76,8 @@
 // `cactus serve` runs the characterization pipeline as a long-running HTTP
 // service (see internal/server): profiles, roofline placements, cross-device
 // comparisons, and attribution trees for any workload × device combination,
-// answered from an in-memory LRU with singleflight collapse of concurrent
-// identical studies. The global -j, -cache, and -metrics flags apply.
+// each combination characterized at most once and shared by every asker.
+// The global -j, -cache, and -metrics flags apply.
 //
 // Exit codes: 0 on success, 1 on a runtime failure, 2 on a usage error
 // (unknown command or flag, wrong arity, out-of-range argument).

@@ -24,7 +24,6 @@ func serveCmd(args []string, opts core.StudyOptions, errOut io.Writer) error {
 	fs := flag.NewFlagSet("cactus serve", flag.ContinueOnError)
 	fs.SetOutput(errOut)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port)")
-	lruEntries := fs.Int("lru", 512, "in-memory profile cache capacity (entries)")
 	maxInflight := fs.Int("max-inflight", 256, "admitted requests beyond this are rejected with 429")
 	timeout := fs.Duration("timeout", 60*time.Second, "per-request deadline (requests past it get 504)")
 	if err := parseFlags(fs, args); err != nil {
@@ -37,7 +36,6 @@ func serveCmd(args []string, opts core.StudyOptions, errOut io.Writer) error {
 	srv, err := server.New(server.Options{
 		Workers:     opts.Workers,
 		Cache:       opts.Cache,
-		LRUEntries:  *lruEntries,
 		MaxInFlight: *maxInflight,
 		Timeout:     *timeout,
 		Registry:    opts.Metrics,

@@ -130,8 +130,8 @@ func TestSuppressionsMode(t *testing.T) {
 	if len(lines) != 4 {
 		t.Fatalf("internal/server has 4 suppressions, -suppressions listed %d:\n%s", len(lines), out.String())
 	}
-	for _, want := range []string{"nodeterminism: request latency", "ctxflow: the singleflight leader",
-		"golife: the leader is deliberately detached"} {
+	for _, want := range []string{"nodeterminism: request latency", "ctxflow: the cell's study outlives its first asker",
+		"golife: the study is deliberately detached"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("-suppressions output missing %q:\n%s", want, out.String())
 		}

@@ -84,9 +84,8 @@ type cachedProfile struct {
 // configuration: a short hex digest over every model parameter plus the
 // cache schema version. Two configurations share a fingerprint only if
 // they would produce interchangeable profiles, so the fingerprint is the
-// device half of every profile key — the on-disk cache entry name, the
-// server's in-memory LRU key, and singleflight deduplication all derive
-// from it.
+// device half of every profile key — the on-disk cache entry name and the
+// server's compute-once cell key both derive from it.
 func Fingerprint(cfg gpu.DeviceConfig) string {
 	sum := sha256.Sum256([]byte(fmt.Sprintf("v%d|%+v", CacheSchemaVersion, cfg)))
 	return hex.EncodeToString(sum[:8])

@@ -15,7 +15,7 @@ import (
 // In scope (internal/server and internal/core), the analyzer flags:
 //
 //   - any call to context.Background() or context.TODO(). The two
-//     legitimate detachments — the singleflight leader whose study belongs
+//     legitimate detachments — the server cell's study, which belongs
 //     to every future asker, and the one-shot CLI entry points that have no
 //     inbound context — carry reasoned //lint:ignore suppressions, turning
 //     each detachment into a documented decision;

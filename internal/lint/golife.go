@@ -32,8 +32,8 @@ import (
 // A go call whose targets are all outside the analyzed program (say,
 // spawning a stdlib function) produces no call-graph edge and is accepted:
 // unknown is not evidence of a leak. Everything else is a finding. A
-// goroutine that must outlive its spawner (a detached singleflight
-// leader) carries a reasoned //lint:ignore suppression, making the
+// goroutine that must outlive its spawner (the server cell's detached
+// study) carries a reasoned //lint:ignore suppression, making the
 // detachment a documented, counted decision. The check proves a join
 // edifice exists, not that it is correct — -race and the runtime leak
 // checker remain the schedule-sensitive backstop.

@@ -196,7 +196,7 @@ func TestSuppressionBudget(t *testing.T) {
 	}
 	pkgs := repoPackages(t)
 	sups := CollectSuppressions(pkgs)
-	const budget = 10 // 6 nodeterminism (telemetry wall time) + 3 ctxflow (deliberate detachments) + 1 golife (detached singleflight leader, joined via c.done by every caller)
+	const budget = 10 // 6 nodeterminism (telemetry wall time) + 3 ctxflow (deliberate detachments) + 1 golife (detached cell study, joined via c.done by every asker)
 	if len(sups) != budget {
 		for _, s := range sups {
 			t.Logf("suppression: %s", s)

@@ -65,7 +65,7 @@ func dropped(ctx context.Context) {
 }
 
 // detachedClosure detaches inside a closure with no context parameter of
-// its own — the singleflight-leader pattern. The closure is exempt from the
+// its own — the server's detached-study pattern. The closure is exempt from the
 // derivation rule, and the deliberate Background carries a reasoned
 // suppression.
 func detachedClosure(ctx context.Context) {

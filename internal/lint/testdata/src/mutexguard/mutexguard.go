@@ -98,7 +98,7 @@ func (p *pool) closureLocking() {
 }
 
 // rangeReceiver exercises acquisition through a non-trivial base
-// expression (the range variable), mirroring shardedLRU.len.
+// expression (the range variable), summing over a slice of shards.
 func sum(pools []*pool) int {
 	n := 0
 	for _, p := range pools {

@@ -17,10 +17,7 @@ import (
 // loadRequest is one deterministic entry of the load mix.
 type loadRequest struct {
 	method, target, body string
-	// resolutions is how many (workload, device) profile lookups the
-	// request performs — the unit the LRU/singleflight funnel counts.
-	resolutions int
-	admitted    bool // true when the request flows through the api() funnel
+	admitted             bool // true when the request flows through the api() funnel
 }
 
 // loadMix builds the deterministic mixed-query workload: every endpoint
@@ -30,19 +27,19 @@ func loadMix(wls, devs []string) []loadRequest {
 	for _, w := range wls {
 		for _, d := range devs {
 			mix = append(mix,
-				loadRequest{"GET", fmt.Sprintf("/api/v1/profile?workload=%s&device=%s", w, d), "", 1, true},
-				loadRequest{"GET", fmt.Sprintf("/api/v1/profile?workload=%s&device=%s&format=text", w, d), "", 1, true},
-				loadRequest{"GET", fmt.Sprintf("/api/v1/roofline?workload=%s&device=%s", w, d), "", 1, true},
-				loadRequest{"GET", fmt.Sprintf("/api/v1/explain?workload=%s&device=%s", w, d), "", 1, true},
+				loadRequest{"GET", fmt.Sprintf("/api/v1/profile?workload=%s&device=%s", w, d), "", true},
+				loadRequest{"GET", fmt.Sprintf("/api/v1/profile?workload=%s&device=%s&format=text", w, d), "", true},
+				loadRequest{"GET", fmt.Sprintf("/api/v1/roofline?workload=%s&device=%s", w, d), "", true},
+				loadRequest{"GET", fmt.Sprintf("/api/v1/explain?workload=%s&device=%s", w, d), "", true},
 			)
 		}
-		mix = append(mix, loadRequest{"GET", "/api/v1/compare?workload=" + w + "&format=text", "", 2, true})
+		mix = append(mix, loadRequest{"GET", "/api/v1/compare?workload=" + w + "&format=text", "", true})
 	}
 	mix = append(mix,
-		loadRequest{"GET", "/api/v1/workloads", "", 0, false},
+		loadRequest{"GET", "/api/v1/workloads", "", false},
 		loadRequest{"POST", "/api/v1/batch",
 			`{"queries":[{"kind":"profile","workload":"` + wls[0] + `"},{"kind":"roofline","workload":"` + wls[1] + `","device":"` + devs[1] + `"}]}`,
-			2, true},
+			true},
 	)
 	return mix
 }
@@ -50,10 +47,9 @@ func loadMix(wls, devs []string) []loadRequest {
 // TestServeLoadMixed is the server's acceptance test: at least 1000
 // concurrent mixed requests against one server, run under -race in CI.
 // Every response must be byte-identical to the same query answered by a
-// fresh single-worker server (cold serial study), the singleflight/LRU
-// funnel must account for every profile resolution with zero identity
-// mismatches and each combination characterized exactly once, and p99
-// latency must stay within bounds.
+// fresh single-worker server (cold serial study), each combination must be
+// characterized exactly once with exactly its cell filled, no request may
+// be rejected, and p99 latency must stay within bounds.
 func TestServeLoadMixed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fires >1000 concurrent requests")
@@ -86,21 +82,18 @@ func TestServeLoadMixed(t *testing.T) {
 		Workers:     8,
 		MaxInFlight: total + 1, // overload rejection is tested separately
 		Timeout:     5 * time.Minute,
-		LRUEntries:  64,
 	})
 
 	var (
-		wg         sync.WaitGroup
-		latencies  = make([]time.Duration, total)
-		badStatus  atomic.Int64
-		badBytes   atomic.Int64
-		firstDiff  sync.Once
-		admitted   int64
-		wantLookup int64
+		wg        sync.WaitGroup
+		latencies = make([]time.Duration, total)
+		badStatus atomic.Int64
+		badBytes  atomic.Int64
+		firstDiff sync.Once
+		admitted  int64
 	)
 	for i := 0; i < total; i++ {
 		rq := mix[i%len(mix)]
-		wantLookup += int64(rq.resolutions)
 		if rq.admitted {
 			admitted++
 		}
@@ -144,32 +137,13 @@ func TestServeLoadMixed(t *testing.T) {
 		t.Errorf("p99 latency %v exceeds 5s", p99)
 	}
 
-	// The funnel must balance exactly. Each (workload, device) combination
-	// is characterized exactly once no matter how many requests raced for
-	// it; every lookup is either an LRU hit or a counted miss that joined
-	// exactly one flight; no entry was ever served under the wrong identity.
+	// Each (workload, device) combination is characterized exactly once no
+	// matter how many requests raced for it, and only the asked-for cells
+	// are filled.
 	combos := int64(len(wls) * len(devs))
 	get := s.ctr.Get
 	if got := get(telemetry.CtrWorkloads); got != combos {
-		t.Errorf("workloads characterized = %d, want exactly %d (singleflight must collapse duplicates)", got, combos)
-	}
-	if got := get(telemetry.CtrServeLRUMismatches); got != 0 {
-		t.Errorf("LRU identity mismatches = %d, want 0", got)
-	}
-	if got := get(telemetry.CtrServeLRUEvictions); got != 0 {
-		t.Errorf("LRU evictions = %d, want 0 (capacity exceeds the working set)", got)
-	}
-	hits, misses := get(telemetry.CtrServeLRUHits), get(telemetry.CtrServeLRUMisses)
-	if hits+misses != wantLookup {
-		t.Errorf("LRU hits (%d) + misses (%d) = %d, want %d lookups", hits, misses, hits+misses, wantLookup)
-	}
-	leaders, shared := get(telemetry.CtrServeFlightLeaders), get(telemetry.CtrServeFlightShared)
-	if leaders+shared != misses {
-		t.Errorf("flight leaders (%d) + shared (%d) = %d, want %d (every LRU miss joins exactly one flight)",
-			leaders, shared, leaders+shared, misses)
-	}
-	if leaders < combos {
-		t.Errorf("flight leaders = %d, want >= %d (one per combination)", leaders, combos)
+		t.Errorf("workloads characterized = %d, want exactly %d (each cell must compute once)", got, combos)
 	}
 	if got := get(telemetry.CtrServeRequests); got != admitted {
 		t.Errorf("serve.requests = %d, want %d", got, admitted)
@@ -183,7 +157,15 @@ func TestServeLoadMixed(t *testing.T) {
 			t.Errorf("%s = %d, want 0", ctr, got)
 		}
 	}
-	if got := s.lru.len(); int64(got) != combos {
-		t.Errorf("LRU holds %d entries, want %d", got, combos)
+	filled := 0
+	for _, c := range s.cells {
+		select {
+		case <-c.done:
+			filled++
+		default:
+		}
+	}
+	if int64(filled) != combos {
+		t.Errorf("%d cells filled, want %d", filled, combos)
 	}
 }

@@ -2,18 +2,21 @@
 // characterization methodology as a long-running HTTP/JSON service.
 // Clients query per-kernel profiles, roofline placements, cross-device
 // comparisons, and bottleneck-attribution trees for any workload × device
-// combination; the server answers from a sharded in-memory LRU in front of
-// the on-disk profile cache, collapses concurrent identical studies with
-// singleflight, and runs cold studies on one shared core.Engine whose
-// global worker pool bounds simulation concurrency across all requests.
+// combination. The servable set is closed — every catalog workload on every
+// configured device — so the server answers from a fixed table of
+// compute-once cells, one per combination, built at startup: the first
+// asker of a cell starts its study on one shared core.Engine (which
+// consults the on-disk profile cache before simulating, and whose global
+// worker pool bounds simulation concurrency across all requests), and
+// every asker shares the result.
 //
 // Degradation is explicit: a bounded admission queue rejects overload with
 // 429, per-request deadlines return 504 (the underlying study keeps
-// running and lands in the LRU for the next asker), and shutdown drains
+// running and fills its cell for the next asker), and shutdown drains
 // in-flight requests while rejecting new ones with 503. Every request
-// flows into the telemetry registry — request counters, LRU and
-// singleflight funnel counters, and a latency histogram — served back out
-// at /metrics through the same snapshot path the CLI uses.
+// flows into the telemetry registry — request counters and a latency
+// histogram — served back out at /metrics through the same snapshot path
+// the CLI uses.
 package server
 
 import (
@@ -39,17 +42,14 @@ type Options struct {
 	// their configurations. Nil selects the stock rtx3080 + gtx1080 pair.
 	Devices map[string]gpu.DeviceConfig
 	// Catalog is the servable workload set. Nil selects core.DefaultCatalog.
+	// New reads it once to build the cell table; it must not change while
+	// the server runs.
 	Catalog *workloads.Catalog
 	// Workers caps concurrent characterizations across all requests
 	// (core.EngineOptions.Workers). Zero selects runtime.NumCPU().
 	Workers int
-	// Cache, when non-nil, is the on-disk profile cache behind the LRU.
+	// Cache, when non-nil, is the on-disk profile cache behind the cells.
 	Cache *core.ProfileCache
-	// LRUEntries is the in-memory profile cache capacity (default 512
-	// entries, spread over LRUShards shards).
-	LRUEntries int
-	// LRUShards is the LRU shard count (default 16).
-	LRUShards int
 	// MaxInFlight bounds the admitted work queue: requests beyond this
 	// many concurrently in flight are rejected with 429 (default 256).
 	MaxInFlight int
@@ -77,9 +77,8 @@ type Server struct {
 	reg     *telemetry.Registry
 	ctr     *telemetry.Counters
 	latency *telemetry.Histogram
-	lru     *shardedLRU
-	flight  *flightGroup
-	queue   chan struct{} // admission tokens; full queue = 429
+	cells   map[cellKey]*cell // built in New, never written after
+	queue   chan struct{}     // admission tokens; full queue = 429
 	mux     *http.ServeMux
 
 	mu       sync.Mutex
@@ -105,12 +104,6 @@ func New(opts Options) (*Server, error) {
 	}
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.NumCPU()
-	}
-	if opts.LRUEntries <= 0 {
-		opts.LRUEntries = 512
-	}
-	if opts.LRUShards <= 0 {
-		opts.LRUShards = 16
 	}
 	if opts.MaxInFlight <= 0 {
 		opts.MaxInFlight = 256
@@ -139,8 +132,7 @@ func New(opts Options) (*Server, error) {
 		reg:     opts.Registry,
 		ctr:     opts.Registry.Counters(),
 		latency: opts.Registry.Histogram(telemetry.HistServeRequestSeconds),
-		lru:     newShardedLRU(opts.LRUEntries, opts.LRUShards),
-		flight:  newFlightGroup(),
+		cells:   make(map[cellKey]*cell),
 		queue:   make(chan struct{}, opts.MaxInFlight),
 	}
 	s.engine = core.NewEngine(core.EngineOptions{
@@ -149,6 +141,16 @@ func New(opts Options) (*Server, error) {
 		Counters: s.ctr,
 		Metrics:  s.reg,
 	})
+	for _, w := range opts.Catalog.All() {
+		for name, fp := range devFPs {
+			cfg := opts.Devices[name]
+			s.cells[cellKey{w.Abbr(), fp}] = &cell{done: make(chan struct{}), compute: func() (*core.Profile, error) {
+				//lint:ignore ctxflow the cell's study outlives its first asker: every later asker inherits it, so a 504'd first caller must not cancel it
+				p, _, err := s.engine.Characterize(context.Background(), cfg, w)
+				return p, err
+			}}
+		}
+	}
 	s.mux = s.buildMux()
 	return s, nil
 }
@@ -201,62 +203,57 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return s.engine.Shutdown(ctx)
 }
 
-// profileKey is the LRU and singleflight key for one (workload, device)
-// pair: the abbreviation joined with the full device-configuration
-// fingerprint, so two devices — or two revisions of one device — can
-// never alias.
-func profileKey(abbr, fingerprint string) string { return abbr + "@" + fingerprint }
+// cellKey identifies one characterization: a workload abbreviation and
+// the full device-configuration fingerprint. Two device names with one
+// configuration share a cell; two configurations — or two revisions of one
+// device — never alias.
+type cellKey struct{ abbr, fingerprint string }
 
-// profileFor resolves one workload's profile on one device through the
-// read path the whole API shares: sharded LRU, then singleflight, then the
-// engine (which itself consults the on-disk cache before simulating). The
-// context only gates how long this caller waits — a deadline that expires
-// mid-study abandons the wait, not the study.
-func (s *Server) profileFor(ctx context.Context, w workloads.Workload, devName string) (*core.Profile, error) {
-	abbr := w.Abbr()
-	fp := s.devFPs[devName]
-	key := profileKey(abbr, fp)
-	if e, ok := s.lru.get(key); ok {
-		if e.abbr != abbr || e.fingerprint != fp {
-			// Never serve a profile whose identity disagrees with the key
-			// that found it: count the corruption and recompute.
-			s.ctr.Add(telemetry.CtrServeLRUMismatches, 1)
-		} else {
-			s.ctr.Add(telemetry.CtrServeLRUHits, 1)
-			return e.profile, nil
-		}
-	}
-	s.ctr.Add(telemetry.CtrServeLRUMisses, 1)
-	cfg := s.devices[devName]
-	c, leader := s.flight.do(key, func() (*core.Profile, error) {
-		// Double-check the LRU: a caller that missed it just before the
-		// previous flight for this key completed becomes a redundant leader;
-		// without this it would re-run the whole study.
-		if e, ok := s.lru.get(key); ok && e.abbr == abbr && e.fingerprint == fp {
-			return e.profile, nil
-		}
-		// Detached from the request context: the study belongs to every
-		// current and future asker of this key, not to the first one.
-		//lint:ignore ctxflow the singleflight leader's study outlives its requester: later askers and the LRU inherit it, so a 504'd first caller must not cancel it
-		p, _, err := s.engine.Characterize(context.Background(), cfg, w)
-		if err != nil {
-			return nil, err
-		}
-		evicted := s.lru.add(key, profileEntry{abbr: abbr, fingerprint: fp, profile: p})
-		s.ctr.Add(telemetry.CtrServeLRUEvictions, int64(evicted))
-		return p, nil
+// cell computes one (workload, device) profile at most once. The first
+// asker's once starts compute on its own goroutine; p and err are
+// written before done is closed and read only after <-done, so the channel
+// is the happens-before edge. The study is detached from every request
+// context: a waiter whose deadline expires walks away with 504 while the
+// study still fills the cell for later askers.
+//
+// A cell keeps a failed result too. The study runs without a request
+// context and New validates every device configuration, so its only errors
+// are deterministic simulation errors — recomputing would fail the same
+// way — or core.ErrEngineClosed, which can only appear after Shutdown,
+// when every request already gets 503.
+type cell struct {
+	compute func() (*core.Profile, error) // the study; set in New
+	once    sync.Once
+	done    chan struct{} // closed when p/err are valid
+	p       *core.Profile
+	err     error
+}
+
+// get starts compute on the cell's first call and waits for its result,
+// or for ctx — which bounds only this caller's wait, never the study.
+func (c *cell) get(ctx context.Context) (*core.Profile, error) {
+	c.once.Do(func() {
+		//lint:ignore golife the study is deliberately detached from its spawner: every asker, this one included, joins via <-c.done in get, and a 504'd first asker must not strand the later ones
+		go func() {
+			c.p, c.err = c.compute()
+			close(c.done)
+		}()
 	})
-	if leader {
-		s.ctr.Add(telemetry.CtrServeFlightLeaders, 1)
-	} else {
-		s.ctr.Add(telemetry.CtrServeFlightShared, 1)
-	}
 	select {
 	case <-c.done:
 		return c.p, c.err
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
+}
+
+// profileFor resolves one workload's profile on one device through the
+// read path the whole API shares: the combination's cell, whose study runs
+// on the engine (which itself consults the on-disk cache before
+// simulating). The context only gates how long this caller waits — a
+// deadline that expires mid-study abandons the wait, not the study.
+func (s *Server) profileFor(ctx context.Context, w workloads.Workload, devName string) (*core.Profile, error) {
+	return s.cells[cellKey{w.Abbr(), s.devFPs[devName]}].get(ctx)
 }
 
 // studyFor assembles single-profile studies for the comparison path.

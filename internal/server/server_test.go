@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -12,10 +13,13 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/gpu"
 	"repro/internal/telemetry"
 	"repro/internal/testutil"
 )
@@ -134,7 +138,7 @@ func TestHandlerErrorPaths(t *testing.T) {
 
 // TestDeadlineExceeded — a request whose deadline expires gets 504, the
 // deadline counter moves, and the underlying study still completes and
-// lands in the LRU for the next asker.
+// fills its cell for the next asker.
 func TestDeadlineExceeded(t *testing.T) {
 	s := newTestServer(t, Options{Timeout: time.Nanosecond})
 	rr := do(t, s, "GET", "/api/v1/profile?workload=pb-sgemm", nil)
@@ -148,17 +152,15 @@ func TestDeadlineExceeded(t *testing.T) {
 	if got := s.ctr.Get(telemetry.CtrServeDeadlineExceeded); got != 1 {
 		t.Errorf("deadline counter = %d, want 1", got)
 	}
-	// The abandoned study keeps running detached; it must land in the LRU.
-	deadline := time.Now().Add(30 * time.Second)
-	key := profileKey("pb-sgemm", s.devFPs["rtx3080"])
-	for {
-		if _, ok := s.lru.get(key); ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("abandoned study never landed in the LRU")
-		}
-		time.Sleep(10 * time.Millisecond)
+	// The abandoned study keeps running detached; it must fill the cell.
+	c := s.cells[cellKey{"pb-sgemm", s.devFPs["rtx3080"]}]
+	select {
+	case <-c.done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("abandoned study never filled its cell")
+	}
+	if c.err != nil || c.p == nil || c.p.Workload.Abbr() != "pb-sgemm" {
+		t.Errorf("cell holds %+v, %v; want pb-sgemm's profile", c.p, c.err)
 	}
 }
 
@@ -204,27 +206,95 @@ func TestShutdownRejects(t *testing.T) {
 	}
 }
 
-// TestLRUMismatchRecovers — an LRU entry whose stored identity disagrees
-// with its key is never served: the mismatch is counted and the profile
-// recomputed correctly.
-func TestLRUMismatchRecovers(t *testing.T) {
-	s := newTestServer(t, Options{})
-	// Poison the cache: file pb-spmv's identity under pb-sgemm's key.
-	key := profileKey("pb-sgemm", s.devFPs["rtx3080"])
-	s.lru.add(key, profileEntry{abbr: "pb-spmv", fingerprint: "bogus", profile: &core.Profile{}})
-	rr := do(t, s, "GET", "/api/v1/profile?workload=pb-sgemm", nil)
-	if rr.Code != 200 {
-		t.Fatalf("status = %d, want 200\n%s", rr.Code, rr.Body.String())
+// TestCellComputesOnce — any number of concurrent askers of one cell run
+// compute exactly once and all get the same result pointer. The leak check
+// proves the study goroutine exits once the cell is filled.
+func TestCellComputesOnce(t *testing.T) {
+	defer testutil.CheckLeaks(t)()
+	release := make(chan struct{})
+	var runs atomic.Int64
+	want := &core.Profile{}
+	c := &cell{done: make(chan struct{}), compute: func() (*core.Profile, error) {
+		runs.Add(1)
+		<-release
+		return want, nil
+	}}
+
+	const askers = 50
+	var wg sync.WaitGroup
+	results := make([]*core.Profile, askers)
+	started := make(chan struct{}, askers)
+	for i := 0; i < askers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			started <- struct{}{}
+			p, err := c.get(context.Background())
+			if err != nil {
+				t.Errorf("asker %d: %v", i, err)
+			}
+			results[i] = p
+		}(i)
 	}
-	var p profileJSON
-	if err := json.Unmarshal(rr.Body.Bytes(), &p); err != nil {
-		t.Fatal(err)
+	for i := 0; i < askers; i++ {
+		<-started // every asker is running before the study may finish
 	}
-	if p.Workload != "pb-sgemm" {
-		t.Errorf("served workload %q, want pb-sgemm", p.Workload)
+	close(release)
+	wg.Wait()
+
+	if got := runs.Load(); got != 1 {
+		t.Errorf("compute ran %d times, want exactly 1", got)
 	}
-	if got := s.ctr.Get(telemetry.CtrServeLRUMismatches); got != 1 {
-		t.Errorf("mismatch counter = %d, want 1", got)
+	for i, p := range results {
+		if p != want {
+			t.Fatalf("asker %d got %p, want the shared result %p", i, p, want)
+		}
+	}
+}
+
+// TestCellKeepsError — a failed compute hands the same error to every
+// later asker without running again.
+func TestCellKeepsError(t *testing.T) {
+	defer testutil.CheckLeaks(t)()
+	var runs atomic.Int64
+	boom := errors.New("boom")
+	c := &cell{done: make(chan struct{}), compute: func() (*core.Profile, error) {
+		runs.Add(1)
+		return nil, boom
+	}}
+	for i := 0; i < 3; i++ {
+		if p, err := c.get(context.Background()); p != nil || err != boom {
+			t.Errorf("ask %d = %v, %v; want nil, %v", i, p, err, boom)
+		}
+	}
+	if got := runs.Load(); got != 1 {
+		t.Errorf("compute ran %d times, want exactly 1", got)
+	}
+}
+
+// TestDeviceAliasesShareCell — two device names with one configuration
+// share a single characterization, and each query is answered with the
+// requested workload's profile.
+func TestDeviceAliasesShareCell(t *testing.T) {
+	s := newTestServer(t, Options{Devices: map[string]gpu.DeviceConfig{
+		"a": gpu.RTX3080(),
+		"b": gpu.RTX3080(),
+	}})
+	for _, dev := range []string{"a", "b"} {
+		rr := do(t, s, "GET", "/api/v1/profile?workload=pb-sgemm&device="+dev, nil)
+		if rr.Code != 200 {
+			t.Fatalf("device %s: status = %d, want 200\n%s", dev, rr.Code, rr.Body.String())
+		}
+		var p profileJSON
+		if err := json.Unmarshal(rr.Body.Bytes(), &p); err != nil {
+			t.Fatal(err)
+		}
+		if p.Workload != "pb-sgemm" {
+			t.Errorf("device %s: served workload %q, want pb-sgemm", dev, p.Workload)
+		}
+	}
+	if got := s.ctr.Get(telemetry.CtrWorkloads); got != 1 {
+		t.Errorf("workloads characterized = %d, want 1 (aliased devices share one cell)", got)
 	}
 }
 
@@ -264,8 +334,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	for _, want := range []string{
 		"serve_requests 1",
-		"serve_lru_misses 1",
-		"serve_singleflight_leaders 1",
 		"serve_request_seconds",
 		"study_workloads_characterized 1",
 	} {

@@ -35,10 +35,9 @@ const (
 	// CtrWorkloads counts workloads characterized (cache hits included).
 	CtrWorkloads = "study.workloads_characterized"
 
-	// Serve-layer counters: the characterization server's request funnel.
-	// Requests either hit the in-memory LRU, join an in-flight singleflight
-	// study, or lead one; the funnel invariant the load test pins is
-	// leaders + shared == lru_misses, with mismatches and corruption at 0.
+	// Serve-layer counters: the characterization server's request outcomes.
+	// Characterizations are counted by CtrWorkloads, once per workload ×
+	// device configuration however many requests asked.
 
 	// CtrServeRequests counts HTTP requests accepted by the API handlers
 	// (rejected ones are counted under their rejection counter instead).
@@ -50,24 +49,9 @@ const (
 	// shutdown drain.
 	CtrServeRejectedShutdown = "serve.rejected_shutdown"
 	// CtrServeDeadlineExceeded counts requests that hit their per-request
-	// deadline (504); the underlying study keeps running and lands in the
-	// LRU for the next asker.
+	// deadline (504); the underlying study keeps running and fills its
+	// cell for the next asker.
 	CtrServeDeadlineExceeded = "serve.deadline_exceeded"
-	// CtrServeLRUHits counts profile lookups served from the in-memory LRU.
-	CtrServeLRUHits = "serve.lru_hits"
-	// CtrServeLRUMisses counts lookups that fell through to singleflight.
-	CtrServeLRUMisses = "serve.lru_misses"
-	// CtrServeLRUEvictions counts LRU entries evicted to make room.
-	CtrServeLRUEvictions = "serve.lru_evictions"
-	// CtrServeLRUMismatches counts LRU entries whose recorded workload or
-	// device fingerprint disagreed with the key that found them — cache
-	// corruption that must never happen (the load test asserts zero).
-	CtrServeLRUMismatches = "serve.lru_mismatches"
-	// CtrServeFlightLeaders counts singleflight calls that ran the study.
-	CtrServeFlightLeaders = "serve.singleflight_leaders"
-	// CtrServeFlightShared counts singleflight calls that joined a study
-	// another request already had in flight — the deduplication win.
-	CtrServeFlightShared = "serve.singleflight_shared"
 	// CtrServeWriteErrors counts response bodies that failed to reach the
 	// client (connection reset mid-write, client hang-up). The response
 	// cannot be retried — the client is gone — but a spike here is an

@@ -62,7 +62,7 @@ var (
 		Buckets: []float64{0.1, 0.25, 0.5, 0.75, 0.9, 0.99},
 	}
 	// HistServeRequestSeconds distributes end-to-end request latency in the
-	// characterization server, LRU hits and cold studies alike.
+	// characterization server, filled cells and cold studies alike.
 	HistServeRequestSeconds = HistogramSpec{
 		Name:    "serve.request_seconds",
 		Help:    "end-to-end latency per served API request",

@@ -2,7 +2,7 @@
 // packages. The static analyzers (internal/lint) prove lock and context
 // discipline at the source level; the goroutine-leak checker here is the
 // runtime complement: it proves that lifecycle code — engine shutdown,
-// server drain, singleflight completion — actually returns the goroutines
+// server drain, compute-once cell studies — actually returns the goroutines
 // it started.
 package testutil
 
@@ -23,7 +23,7 @@ type TB interface {
 
 // defaultSettle bounds how long CheckLeaks waits for goroutines started by
 // the test to finish before declaring them leaked. Detached work that
-// legitimately outlives a request (a singleflight study after a 504) must
+// legitimately outlives a request (a cell's study after a 504) must
 // complete within this window or the test fails.
 const defaultSettle = 5 * time.Second
 
