@@ -3,12 +3,16 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
+	"log/slog"
 	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // TestExplainCommand — the text report carries every tree level and all
@@ -104,16 +108,50 @@ func TestMetricsFlag(t *testing.T) {
 	}
 }
 
-// TestLogFlag — -log json emits one structured completion event per
-// workload on stderr.
+// TestLogFlag — -log emits one structured completion record per workload
+// on stderr, from a parallel study too (the handler serializes), with
+// every record key; alongside -v both outputs appear; a cache store
+// failure is logged as a warning before its record.
 func TestLogFlag(t *testing.T) {
+	ws := []string{"pb-sgemm", "pb-spmv", "rd-nn"}
 	var errOut bytes.Buffer
-	if err := run([]string{"-no-cache", "-log", "json", "run", "pb-sgemm"}, io.Discard, &errOut); err != nil {
+	if err := run(append([]string{"-no-cache", "-j", "2", "-log", "json", "run"}, ws...), io.Discard, &errOut); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(errOut.String(), `"msg":"workload characterized"`) ||
-		!strings.Contains(errOut.String(), `"workload":"pb-sgemm"`) {
-		t.Errorf("-log json output missing the completion event:\n%s", errOut.String())
+	out := errOut.String()
+	if got := strings.Count(out, `"msg":"workload characterized"`); got != len(ws) {
+		t.Errorf("-log saw %d completion records, want %d:\n%s", got, len(ws), out)
+	}
+	for _, w := range ws {
+		if !strings.Contains(out, `"workload":"`+w+`"`) {
+			t.Errorf("no record for %s:\n%s", w, out)
+		}
+	}
+	for _, key := range []string{`"kernels":`, `"modeled_ms":`, `"wall_ms":`, `"cache":"disabled"`} {
+		if !strings.Contains(out, key) {
+			t.Errorf("records lack %s:\n%s", key, out)
+		}
+	}
+
+	errOut.Reset()
+	if err := run([]string{"-no-cache", "-j", "1", "-v", "-log", "text", "run", "pb-sgemm"}, io.Discard, &errOut); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"cactus: pb-sgemm: ", `msg="workload characterized" workload=pb-sgemm`} {
+		if !strings.Contains(errOut.String(), want) {
+			t.Errorf("-v -log text output missing %q:\n%s", want, errOut.String())
+		}
+	}
+
+	errOut.Reset()
+	logProgress(slog.New(slog.NewJSONHandler(&errOut, nil)), core.WorkloadProgress{
+		Abbr: "pb-sgemm", Cache: core.CacheMiss, StoreErr: errors.New("disk full"),
+	})
+	lines := strings.Split(strings.TrimSpace(errOut.String()), "\n")
+	if len(lines) != 2 ||
+		!strings.Contains(lines[0], `"level":"WARN","msg":"profile cache store failed","workload":"pb-sgemm","error":"disk full"`) ||
+		!strings.Contains(lines[1], `"msg":"workload characterized","workload":"pb-sgemm"`) {
+		t.Errorf("store failure not logged as a warning before its record:\n%s", errOut.String())
 	}
 }
 

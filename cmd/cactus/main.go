@@ -200,12 +200,13 @@ func run(args []string, out, errOut io.Writer) error {
 	registry := telemetry.NewRegistryWith(counters)
 	liveRegistry.Store(registry)
 	opts := core.StudyOptions{Workers: *jobs, Counters: counters, Metrics: registry}
+	var logger *slog.Logger
 	switch *logFormat {
 	case "":
 	case "text":
-		opts.Logger = slog.New(slog.NewTextHandler(errOut, nil))
+		logger = slog.New(slog.NewTextHandler(errOut, nil))
 	case "json":
-		opts.Logger = slog.New(slog.NewJSONHandler(errOut, nil))
+		logger = slog.New(slog.NewJSONHandler(errOut, nil))
 	default:
 		return usagef("unknown -log format %q (text or json)", *logFormat)
 	}
@@ -214,14 +215,19 @@ func run(args []string, out, errOut io.Writer) error {
 		rec = telemetry.NewRecorder()
 		opts.Tracer = rec
 	}
-	if *verbose {
+	if *verbose || logger != nil {
 		opts.Progress = func(p core.WorkloadProgress) {
-			if p.StoreErr != nil {
-				fmt.Fprintf(errOut, "cactus: %s: cache store failed: %v\n", p.Abbr, p.StoreErr)
+			if *verbose {
+				if p.StoreErr != nil {
+					fmt.Fprintf(errOut, "cactus: %s: cache store failed: %v\n", p.Abbr, p.StoreErr)
+				}
+				fmt.Fprintf(errOut, "cactus: %s: %d kernels, modeled %.3f ms, wall %s, cache %s\n",
+					p.Abbr, p.Kernels, p.ModeledTime.Millis(),
+					p.Wall.Round(time.Millisecond), p.Cache)
 			}
-			fmt.Fprintf(errOut, "cactus: %s: %d kernels, modeled %.3f ms, wall %s, cache %s\n",
-				p.Abbr, p.Kernels, p.ModeledTime.Millis(),
-				p.Wall.Round(time.Millisecond), p.Cache)
+			if logger != nil {
+				logProgress(logger, p)
+			}
 		}
 	}
 	if *pprofAddr != "" {
@@ -279,6 +285,22 @@ func run(args []string, out, errOut io.Writer) error {
 		fmt.Fprintf(errOut, "cactus: wrote %d trace events to %s\n", rec.Len(), *traceFile)
 	}
 	return cmdErr
+}
+
+// logProgress writes one characterized workload to the -log logger as a
+// structured completion record, preceded by a warning when its cache
+// store failed.
+func logProgress(logger *slog.Logger, p core.WorkloadProgress) {
+	if p.StoreErr != nil {
+		logger.Warn("profile cache store failed",
+			"workload", p.Abbr, "error", p.StoreErr.Error())
+	}
+	logger.Info("workload characterized",
+		"workload", p.Abbr,
+		"kernels", p.Kernels,
+		"modeled_ms", p.ModeledTime.Millis(),
+		"wall_ms", float64(p.Wall.Nanoseconds())/1e6,
+		"cache", p.Cache.String())
 }
 
 // dispatch executes one CLI command.

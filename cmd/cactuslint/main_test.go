@@ -127,11 +127,10 @@ func TestSuppressionsMode(t *testing.T) {
 		t.Fatalf("run = %d, %v\n%s", code, err, out.String())
 	}
 	lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("internal/server has 4 suppressions, -suppressions listed %d:\n%s", len(lines), out.String())
+	if len(lines) != 3 {
+		t.Fatalf("internal/server has 3 suppressions, -suppressions listed %d:\n%s", len(lines), out.String())
 	}
-	for _, want := range []string{"nodeterminism: request latency", "ctxflow: the cell's study outlives its first asker",
-		"golife: the study is deliberately detached"} {
+	for _, want := range []string{"nodeterminism: request latency", "golife: the study is deliberately detached"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("-suppressions output missing %q:\n%s", want, out.String())
 		}

@@ -8,10 +8,10 @@
 package core
 
 import (
-	"context"
 	"fmt"
-	"log/slog"
 	"math"
+	"runtime"
+	"sync"
 	"time"
 
 	"repro/internal/gpu"
@@ -125,25 +125,18 @@ func (p *Profile) KernelPoints() []roofline.Point {
 
 // Characterize runs one workload on a fresh device and derives its profile.
 func Characterize(w workloads.Workload, cfg gpu.DeviceConfig) (*Profile, error) {
-	return characterize(w, cfg, telemetry.Nop, nil, 0)
-}
-
-// characterize is Characterize with telemetry attached to the device and
-// session: the session lays the workload's launches on modeled-track lane
-// `lane`, and the device counts launches and warp instructions.
-func characterize(w workloads.Workload, cfg gpu.DeviceConfig, tr telemetry.Tracer, ctr *telemetry.Counters, lane int) (*Profile, error) {
-	dev, err := gpu.New(cfg)
+	st, err := NewStudy(cfg, w)
 	if err != nil {
 		return nil, err
 	}
-	dev.SetTelemetry(tr, ctr)
-	return characterizeOn(dev, w, tr, lane)
+	return st.Profiles[0], nil
 }
 
-// characterizeOn runs one workload on an existing device — fresh or pooled
-// — through a fresh profiling session. Devices are safe for concurrent
-// launches, so a pooled device may characterize many workloads at once;
-// only the session (which accumulates this run's launches) is per-call.
+// characterizeOn runs one workload on the study's device through a fresh
+// profiling session that lays its launches on modeled-track lane `lane`.
+// Devices are safe for concurrent launches, so one device characterizes
+// many workloads at once; only the session (which accumulates this run's
+// launches) is per-call.
 func characterizeOn(dev *gpu.Device, w workloads.Workload, tr telemetry.Tracer, lane int) (*Profile, error) {
 	sess := profiler.NewSessionWith(dev, profiler.SessionOptions{
 		Tracer: tr, Label: w.Abbr(), Lane: lane,
@@ -194,11 +187,11 @@ type Study struct {
 // The zero value means: one worker per CPU, no profile cache, telemetry off.
 type StudyOptions struct {
 	// Workers is the number of goroutines characterizing workloads
-	// concurrently. Zero or negative selects runtime.NumCPU(). Each worker
-	// builds its own gpu.Device and profiler.Session, so no simulator state
-	// is shared across goroutines, and Study.Profiles is assembled in the
-	// caller's workload order — the resulting figures and tables are
-	// byte-identical to a serial run.
+	// concurrently. Zero or negative selects runtime.NumCPU(). Workers
+	// share the study's one gpu.Device (safe for concurrent launches) but
+	// each workload runs in its own profiler.Session, and Study.Profiles is
+	// assembled in the caller's workload order — the resulting figures and
+	// tables are byte-identical to a serial run.
 	Workers int
 	// Cache, when non-nil, is consulted before simulating a workload and
 	// updated after each miss, so repeated studies skip re-simulation.
@@ -221,10 +214,6 @@ type StudyOptions struct {
 	// (telemetry.NewRegistryWith), one snapshot covers both. Must be safe
 	// for concurrent use (observed from every worker goroutine).
 	Metrics *telemetry.Registry
-	// Logger, when non-nil, receives structured per-workload completion
-	// events (and cache store-error warnings). Must be safe for concurrent
-	// use; slog handlers are.
-	Logger *slog.Logger
 	// Progress, when non-nil, is invoked once per workload — from the
 	// goroutine that characterized it, in completion order — after its
 	// profile is ready. Must be safe for concurrent use when Workers > 1.
@@ -232,7 +221,7 @@ type StudyOptions struct {
 }
 
 // WorkloadProgress reports one characterized workload to
-// StudyOptions.Progress (the CLI's -v output).
+// StudyOptions.Progress (the CLI's -v and -log output).
 type WorkloadProgress struct {
 	// Abbr is the workload abbreviation.
 	Abbr string
@@ -262,23 +251,76 @@ func NewStudy(cfg gpu.DeviceConfig, ws ...workloads.Workload) (*Study, error) {
 // NewStudyWith characterizes all the given workloads on cfg according to
 // opts. On error the first failure observed is returned and the partial
 // study is discarded.
-//
-// NewStudyWith is a convenience wrapper over the reusable study engine: it
-// builds an ephemeral Engine from opts, runs one study, and shuts the
-// engine down. Long-running callers (the HTTP server) construct one Engine
-// and share it across requests instead.
 func NewStudyWith(cfg gpu.DeviceConfig, opts StudyOptions, ws ...workloads.Workload) (*Study, error) {
-	e := NewEngine(EngineOptions{
-		Workers:  opts.Workers,
-		Cache:    opts.Cache,
-		Counters: opts.Counters,
-		Metrics:  opts.Metrics,
-		Logger:   opts.Logger,
-	})
-	//lint:ignore ctxflow one-shot CLI entry point with no inbound context; the deferred shutdown must run even after a study error
-	defer func() { _ = e.Shutdown(context.Background()) }()
-	//lint:ignore ctxflow one-shot CLI entry point with no inbound context; cancellation belongs to the process signal handler
-	return e.StudyWith(context.Background(), cfg, opts, ws...)
+	workers := opts.Workers
+	if workers <= 0 {
+		workers = runtime.NumCPU()
+	}
+	if workers > len(ws) {
+		workers = len(ws)
+	}
+	dev, err := gpu.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	dev.SetTelemetry(telemetry.Or(opts.Tracer), opts.Counters)
+	profiles := make([]*Profile, len(ws))
+	if err := characterizeAll(profiles, ws, cfg, opts, workers, dev); err != nil {
+		return nil, err
+	}
+	st := &Study{Device: cfg, byAbbr: make(map[string]*Profile, len(ws))}
+	for _, p := range profiles {
+		st.Add(p)
+	}
+	return st, nil
+}
+
+// characterizeAll fans the workloads out over a fixed pool of `workers`
+// goroutines, writing each profile into its workload's slot so order is
+// preserved. The first error stops the feed; in-flight characterizations
+// drain before return. Each worker owns one host-track telemetry lane; its
+// per-task spans are the pool's lifecycle record, and CtrWorkersBusy
+// gauges its occupancy.
+func characterizeAll(profiles []*Profile, ws []workloads.Workload, cfg gpu.DeviceConfig, opts StudyOptions, workers int, dev *gpu.Device) error {
+	var (
+		wg       sync.WaitGroup
+		once     sync.Once
+		firstErr error
+	)
+	tr := telemetry.Or(opts.Tracer)
+	idx := make(chan int)
+	fail := make(chan struct{})
+	for n := 0; n < workers; n++ {
+		wg.Add(1)
+		go func(worker int) {
+			defer wg.Done()
+			if tr.Enabled() {
+				tr.Emit(telemetry.ThreadName(telemetry.TrackHost, worker,
+					fmt.Sprintf("worker %d", worker)))
+			}
+			for i := range idx {
+				opts.Counters.Add(telemetry.CtrWorkersBusy, 1)
+				p, err := characterizeCached(ws[i], cfg, opts, i, worker, dev)
+				opts.Counters.Add(telemetry.CtrWorkersBusy, -1)
+				if err != nil {
+					once.Do(func() { firstErr = err; close(fail) })
+					continue
+				}
+				profiles[i] = p
+			}
+		}(n)
+	}
+feed:
+	for i := range ws {
+		select {
+		case idx <- i:
+		case <-fail:
+			break feed
+		}
+	}
+	close(idx)
+	wg.Wait()
+	return firstErr
 }
 
 // characterizeCached is one workload's characterization behind the optional
@@ -287,9 +329,8 @@ func NewStudyWith(cfg gpu.DeviceConfig, opts StudyOptions, ws ...workloads.Workl
 // a host-track span on the worker's lane, and the workload's modeled vs
 // wall time land in per-workload counters. `lane` is the workload's
 // modeled-track lane (its index in the study); `worker` is the host-track
-// lane of the goroutine doing the work. When dev is non-nil the simulation
-// runs on that (pooled) device instead of building a fresh one — the
-// engine's device reuse path; telemetry must already be attached to it.
+// lane of the goroutine doing the work. A miss simulates on dev, the
+// study's device, which already carries the study's telemetry.
 func characterizeCached(w workloads.Workload, cfg gpu.DeviceConfig, opts StudyOptions, lane, worker int, dev *gpu.Device) (*Profile, error) {
 	tr := telemetry.Or(opts.Tracer)
 	//lint:ignore nodeterminism wall time is telemetry about the pipeline, not model output
@@ -323,22 +364,13 @@ func characterizeCached(w workloads.Workload, cfg gpu.DeviceConfig, opts StudyOp
 	var storeErr error
 	if p == nil {
 		var err error
-		if dev != nil {
-			p, err = characterizeOn(dev, w, tr, lane)
-		} else {
-			p, err = characterize(w, cfg, tr, opts.Counters, lane)
-		}
-		if err != nil {
+		if p, err = characterizeOn(dev, w, tr, lane); err != nil {
 			return nil, err
 		}
 		if opts.Cache != nil {
 			if storeErr = opts.Cache.Store(p, cfg); storeErr != nil {
 				storeErr = fmt.Errorf("core: caching %s: %w", w.Abbr(), storeErr)
 				opts.Counters.Add(telemetry.CtrCacheStoreErrors, 1)
-				if opts.Logger != nil {
-					opts.Logger.Warn("profile cache store failed",
-						"workload", w.Abbr(), "error", storeErr.Error())
-				}
 				if tr.Enabled() {
 					tr.Emit(telemetry.Event{
 						Track: telemetry.TrackHost, Phase: telemetry.PhaseInstant,
@@ -367,14 +399,6 @@ func characterizeCached(w workloads.Workload, cfg gpu.DeviceConfig, opts StudyOp
 			l1.Observe(k.Metrics.Get(profiler.L1HitRate))
 			l2.Observe(k.Metrics.Get(profiler.L2HitRate))
 		}
-	}
-	if opts.Logger != nil {
-		opts.Logger.Info("workload characterized",
-			"workload", w.Abbr(),
-			"kernels", len(p.Kernels),
-			"modeled_ms", p.TotalTime.Millis(),
-			"wall_ms", float64(wall.Nanoseconds())/1e6,
-			"cache", outcome.String())
 	}
 	if tr.Enabled() {
 		tr.Emit(telemetry.Event{

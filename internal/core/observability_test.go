@@ -127,15 +127,20 @@ func TestStudyMetricsObservation(t *testing.T) {
 	}
 }
 
-// TestStudyLoggerEvents — a slog logger on StudyOptions receives one
-// structured completion event per workload, concurrently safe (the JSON
-// handler serializes), and silence when absent.
+// TestStudyLoggerEvents — a slog logger driven from StudyOptions.Progress
+// (the way the CLI's -log logs) receives one structured completion event
+// per workload from a parallel study, concurrently safe (the JSON handler
+// serializes).
 func TestStudyLoggerEvents(t *testing.T) {
 	ws := cheapSet(4)
 	var buf bytes.Buffer
 	var mu sync.Mutex
 	logger := slog.New(slog.NewJSONHandler(lockedWriter{&mu, &buf}, nil))
-	if _, err := NewStudyWith(gpu.RTX3080(), StudyOptions{Workers: 2, Logger: logger}, ws...); err != nil {
+	opts := StudyOptions{Workers: 2, Progress: func(p WorkloadProgress) {
+		logger.Info("workload characterized",
+			"workload", p.Abbr, "kernels", p.Kernels, "cache", p.Cache.String())
+	}}
+	if _, err := NewStudyWith(gpu.RTX3080(), opts, ws...); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()

@@ -3,11 +3,13 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/gpu"
 	"repro/internal/profiler"
+	"repro/internal/testutil"
 	"repro/internal/workloads"
 )
 
@@ -108,4 +110,76 @@ func TestWorkerDefaults(t *testing.T) {
 			t.Errorf("profile %d is %s, want %s", i, st.Profiles[i].Abbr(), w.Abbr())
 		}
 	}
+}
+
+// TestConcurrentStudiesDeterministic — many overlapping studies and
+// single-workload characterizations on both devices, each on its own
+// device and worker pool, must each produce output byte-identical to the
+// serial pipeline, and leave no goroutine behind.
+func TestConcurrentStudiesDeterministic(t *testing.T) {
+	defer testutil.CheckLeaks(t)()
+	cat, err := DefaultCatalog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ws []workloads.Workload
+	for _, abbr := range []string{"pb-sgemm", "pb-spmv", "rd-nn"} {
+		w, err := cat.Lookup(abbr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws = append(ws, w)
+	}
+	configs := []gpu.DeviceConfig{gpu.RTX3080(), gpu.GTX1080()}
+	render := func(p *Profile) []byte {
+		var buf bytes.Buffer
+		if err := WriteProfileTable(&buf, p); err != nil {
+			t.Error(err)
+		}
+		return buf.Bytes()
+	}
+
+	want := make(map[string][]byte)
+	for _, cfg := range configs {
+		st, err := NewStudy(cfg, ws...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range st.Profiles {
+			want[cfg.Name+"/"+p.Abbr()] = render(p)
+		}
+	}
+
+	check := func(cfg gpu.DeviceConfig, p *Profile, path string) {
+		if !bytes.Equal(render(p), want[cfg.Name+"/"+p.Abbr()]) {
+			t.Errorf("%s on %s: concurrent %s output differs from the serial study", p.Abbr(), cfg.Name, path)
+		}
+	}
+	var wg sync.WaitGroup
+	for round := 0; round < 4; round++ {
+		for _, cfg := range configs {
+			wg.Add(2)
+			go func(cfg gpu.DeviceConfig) {
+				defer wg.Done()
+				st, err := NewStudyWith(cfg, StudyOptions{Workers: 2}, ws...)
+				if err != nil {
+					t.Errorf("study on %s: %v", cfg.Name, err)
+					return
+				}
+				for _, p := range st.Profiles {
+					check(cfg, p, "NewStudyWith")
+				}
+			}(cfg)
+			go func(cfg gpu.DeviceConfig, w workloads.Workload) {
+				defer wg.Done()
+				p, err := Characterize(w, cfg)
+				if err != nil {
+					t.Errorf("characterize on %s: %v", cfg.Name, err)
+					return
+				}
+				check(cfg, p, "Characterize")
+			}(cfg, ws[round%len(ws)])
+		}
+	}
+	wg.Wait()
 }

@@ -51,63 +51,74 @@ func cheapSet(n int) []workloads.Workload {
 }
 
 // TestStudyCounterAccounting — the acceptance criterion: over a cold run
-// then a warm run, cache hits plus misses must equal the number of
-// workloads characterized, launches must match the sessions' records, and
-// per-workload modeled/wall counters must exist.
+// then a warm run, serial and parallel, cache hits plus misses must equal
+// the number of workloads characterized, launches must match the sessions'
+// records, per-workload modeled/wall counters must exist, and the
+// workers-busy gauge must have moved and settled back to 0.
 func TestStudyCounterAccounting(t *testing.T) {
 	cfg := gpu.RTX3080()
 	ws := cheapSet(8)
-	cache, err := OpenCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
 	wantLaunches := 0
 	for _, w := range ws {
 		wantLaunches += w.(tinyWorkload).launches
 	}
 
-	for _, run := range []struct {
-		name                string
-		wantHits, wantMiss  int64
-		wantLaunchesCounted int64
-	}{
-		{"cold", 0, 8, int64(wantLaunches)},
-		{"warm", 8, 0, 0}, // cache hits never touch the device
-	} {
-		ctr := telemetry.NewCounters()
-		st, err := NewStudyWith(cfg, StudyOptions{
-			Workers: 4, Cache: cache, Counters: ctr,
-		}, ws...)
+	for _, workers := range []int{1, 4} {
+		cache, err := OpenCache(t.TempDir())
 		if err != nil {
-			t.Fatalf("%s: %v", run.name, err)
+			t.Fatal(err)
 		}
-		if len(st.Profiles) != len(ws) {
-			t.Fatalf("%s: %d profiles, want %d", run.name, len(st.Profiles), len(ws))
-		}
-		hits := ctr.Get(telemetry.CtrCacheHits)
-		misses := ctr.Get(telemetry.CtrCacheMisses)
-		total := ctr.Get(telemetry.CtrWorkloads)
-		if hits != run.wantHits || misses != run.wantMiss {
-			t.Errorf("%s: hits=%d misses=%d, want %d/%d", run.name, hits, misses, run.wantHits, run.wantMiss)
-		}
-		if hits+misses != total {
-			t.Errorf("%s: hits(%d)+misses(%d) != workloads characterized (%d)", run.name, hits, misses, total)
-		}
-		if got := ctr.Get(telemetry.CtrLaunches); got != run.wantLaunchesCounted {
-			t.Errorf("%s: launches counter = %d, want %d", run.name, got, run.wantLaunchesCounted)
-		}
-		if run.name == "cold" {
-			for _, w := range ws {
-				if ctr.Get(telemetry.WorkloadModeledNs(w.Abbr())) <= 0 {
-					t.Errorf("cold: no modeled-time counter for %s", w.Abbr())
-				}
-				if ctr.Get(telemetry.WorkloadWallNs(w.Abbr())) <= 0 {
-					t.Errorf("cold: no wall-time counter for %s", w.Abbr())
+		for _, run := range []struct {
+			name                string
+			wantHits, wantMiss  int64
+			wantLaunchesCounted int64
+		}{
+			{"cold", 0, 8, int64(wantLaunches)},
+			{"warm", 8, 0, 0}, // cache hits never touch the device
+		} {
+			name := fmt.Sprintf("workers=%d/%s", workers, run.name)
+			ctr := telemetry.NewCounters()
+			st, err := NewStudyWith(cfg, StudyOptions{
+				Workers: workers, Cache: cache, Counters: ctr,
+			}, ws...)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if len(st.Profiles) != len(ws) {
+				t.Fatalf("%s: %d profiles, want %d", name, len(st.Profiles), len(ws))
+			}
+			hits := ctr.Get(telemetry.CtrCacheHits)
+			misses := ctr.Get(telemetry.CtrCacheMisses)
+			total := ctr.Get(telemetry.CtrWorkloads)
+			if hits != run.wantHits || misses != run.wantMiss {
+				t.Errorf("%s: hits=%d misses=%d, want %d/%d", name, hits, misses, run.wantHits, run.wantMiss)
+			}
+			if hits+misses != total {
+				t.Errorf("%s: hits(%d)+misses(%d) != workloads characterized (%d)", name, hits, misses, total)
+			}
+			if got := ctr.Get(telemetry.CtrLaunches); got != run.wantLaunchesCounted {
+				t.Errorf("%s: launches counter = %d, want %d", name, got, run.wantLaunchesCounted)
+			}
+			if run.name == "cold" {
+				for _, w := range ws {
+					if ctr.Get(telemetry.WorkloadModeledNs(w.Abbr())) <= 0 {
+						t.Errorf("%s: no modeled-time counter for %s", name, w.Abbr())
+					}
+					if ctr.Get(telemetry.WorkloadWallNs(w.Abbr())) <= 0 {
+						t.Errorf("%s: no wall-time counter for %s", name, w.Abbr())
+					}
 				}
 			}
-		}
-		if gauge := ctr.Get(telemetry.CtrWorkersBusy); gauge != 0 {
-			t.Errorf("%s: workers-busy gauge = %d after study, want 0", run.name, gauge)
+			// The gauge must have moved (it is in the snapshot) and settled.
+			gauge, seen := int64(0), false
+			for _, c := range ctr.Snapshot() {
+				if c.Name == telemetry.CtrWorkersBusy {
+					gauge, seen = c.Value, true
+				}
+			}
+			if !seen || gauge != 0 {
+				t.Errorf("%s: workers-busy gauge seen=%v value=%d after study, want seen at 0", name, seen, gauge)
+			}
 		}
 	}
 }

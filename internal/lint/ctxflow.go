@@ -7,18 +7,19 @@ import (
 
 // CtxFlow enforces request-context propagation through the serving layer.
 // Since the repo became a long-running HTTP service, every blocking call
-// chain from a handler into core.Engine must carry the request's
-// context.Context: a fresh context.Background()/TODO() in a handler path
+// chain from a handler that takes a context.Context must carry the
+// request's: a fresh context.Background()/TODO() in a handler path
 // silently discards the caller's deadline and cancellation, which is
 // exactly how a drained server ends up owning orphaned studies.
 //
 // In scope (internal/server and internal/core), the analyzer flags:
 //
-//   - any call to context.Background() or context.TODO(). The two
-//     legitimate detachments — the server cell's study, which belongs
-//     to every future asker, and the one-shot CLI entry points that have no
-//     inbound context — carry reasoned //lint:ignore suppressions, turning
-//     each detachment into a documented decision;
+//   - any call to context.Background() or context.TODO(). Work that must
+//     outlive its requester takes no context at all — the server cell's
+//     study, which belongs to every future asker, is a context-free
+//     core.NewStudyWith joined by Server.Shutdown — so none is needed; a
+//     future deliberate detachment carries a reasoned //lint:ignore
+//     suppression, turning it into a documented decision;
 //   - nil passed as a context.Context argument (a latent panic in any
 //     callee that derives from it);
 //   - a context-typed argument inside a function that has its own
@@ -43,7 +44,7 @@ var CtxFlow = &Analyzer{
 	Run:      runCtxFlow,
 }
 
-// ctxFlowScope covers the serving layer: the HTTP server and the engine
+// ctxFlowScope covers the serving layer: the HTTP server and the study
 // library it blocks on.
 func ctxFlowScope(path string) bool {
 	for _, p := range []string{"repro/internal/server", "repro/internal/core"} {

@@ -9,7 +9,7 @@ import (
 	"time"
 )
 
-// engine mirrors core.Engine's blocking surface.
+// engine is a blocking surface that takes a context.
 type engine struct{}
 
 func (e *engine) Characterize(ctx context.Context, name string) error { return ctx.Err() }

@@ -541,9 +541,9 @@ type batchResult struct {
 	Error    string          `json:"error,omitempty"`
 }
 
-// handleBatch answers many queries in one request, fanned out over the
-// engine's worker pool. Results come back in request order; each query
-// fails or succeeds independently.
+// handleBatch answers many queries in one request, one goroutine per
+// query; any studies they start share the server's Workers bound. Results
+// come back in request order; each query fails or succeeds independently.
 func (s *Server) handleBatch(r *http.Request) (string, []byte, *apiError) {
 	if aerr := requireMethod(r, http.MethodPost); aerr != nil {
 		return "", nil, aerr

@@ -5,18 +5,18 @@
 // combination. The servable set is closed — every catalog workload on every
 // configured device — so the server answers from a fixed table of
 // compute-once cells, one per combination, built at startup: the first
-// asker of a cell starts its study on one shared core.Engine (which
-// consults the on-disk profile cache before simulating, and whose global
-// worker pool bounds simulation concurrency across all requests), and
-// every asker shares the result.
+// asker of a cell starts its study — a one-workload core.NewStudyWith,
+// which consults the on-disk profile cache before simulating — under a
+// server-wide Workers bound on concurrent studies, and every asker shares
+// the result.
 //
 // Degradation is explicit: a bounded admission queue rejects overload with
 // 429, per-request deadlines return 504 (the underlying study keeps
 // running and fills its cell for the next asker), and shutdown drains
-// in-flight requests while rejecting new ones with 503. Every request
-// flows into the telemetry registry — request counters and a latency
-// histogram — served back out at /metrics through the same snapshot path
-// the CLI uses.
+// in-flight requests and the cell studies they started while rejecting new
+// requests with 503. Every request flows into the telemetry registry —
+// request counters and a latency histogram — served back out at /metrics
+// through the same snapshot path the CLI uses.
 package server
 
 import (
@@ -45,8 +45,8 @@ type Options struct {
 	// New reads it once to build the cell table; it must not change while
 	// the server runs.
 	Catalog *workloads.Catalog
-	// Workers caps concurrent characterizations across all requests
-	// (core.EngineOptions.Workers). Zero selects runtime.NumCPU().
+	// Workers caps concurrent cell studies across all requests. Zero
+	// selects runtime.NumCPU().
 	Workers int
 	// Cache, when non-nil, is the on-disk profile cache behind the cells.
 	Cache *core.ProfileCache
@@ -73,21 +73,22 @@ type Server struct {
 	cat     *workloads.Catalog
 	devices map[string]gpu.DeviceConfig
 	devFPs  map[string]string // device name -> core.Fingerprint
-	engine  *core.Engine
 	reg     *telemetry.Registry
 	ctr     *telemetry.Counters
 	latency *telemetry.Histogram
 	cells   map[cellKey]*cell // built in New, never written after
 	queue   chan struct{}     // admission tokens; full queue = 429
+	workers chan struct{}     // study tokens; a cell study holds one while it runs
 	mux     *http.ServeMux
 
 	mu       sync.Mutex
 	closed   bool           // guarded by mu
 	inflight sync.WaitGroup // Add under mu in enter(); Done/Wait are WaitGroup-synchronized
+	studies  sync.WaitGroup // cell studies; Add in cell.get within an admitted request, Wait after inflight drains
 }
 
-// New builds a ready server. The returned server owns a core.Engine;
-// callers must Shutdown it when done.
+// New builds a ready server. Callers must Shutdown it when done, so that
+// cell studies still running in the background finish first.
 func New(opts Options) (*Server, error) {
 	if opts.Devices == nil {
 		opts.Devices = map[string]gpu.DeviceConfig{
@@ -134,21 +135,16 @@ func New(opts Options) (*Server, error) {
 		latency: opts.Registry.Histogram(telemetry.HistServeRequestSeconds),
 		cells:   make(map[cellKey]*cell),
 		queue:   make(chan struct{}, opts.MaxInFlight),
+		workers: make(chan struct{}, opts.Workers),
 	}
-	s.engine = core.NewEngine(core.EngineOptions{
-		Workers:  opts.Workers,
-		Cache:    opts.Cache,
-		Counters: s.ctr,
-		Metrics:  s.reg,
-	})
 	for _, w := range opts.Catalog.All() {
 		for name, fp := range devFPs {
 			cfg := opts.Devices[name]
-			s.cells[cellKey{w.Abbr(), fp}] = &cell{done: make(chan struct{}), compute: func() (*core.Profile, error) {
-				//lint:ignore ctxflow the cell's study outlives its first asker: every later asker inherits it, so a 504'd first caller must not cancel it
-				p, _, err := s.engine.Characterize(context.Background(), cfg, w)
-				return p, err
-			}}
+			s.cells[cellKey{w.Abbr(), fp}] = &cell{
+				studies: &s.studies,
+				done:    make(chan struct{}),
+				compute: func() (*core.Profile, error) { return s.characterize(cfg, w) },
+			}
 		}
 	}
 	s.mux = s.buildMux()
@@ -157,6 +153,21 @@ func New(opts Options) (*Server, error) {
 
 // Handler returns the server's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
+
+// characterize is one cell's study: w on cfg as a one-workload
+// core.NewStudyWith over the server's cache and telemetry, holding one of
+// the Workers tokens while it runs.
+func (s *Server) characterize(cfg gpu.DeviceConfig, w workloads.Workload) (*core.Profile, error) {
+	s.workers <- struct{}{}
+	defer func() { <-s.workers }()
+	st, err := core.NewStudyWith(cfg, core.StudyOptions{
+		Workers: 1, Cache: s.opts.Cache, Counters: s.ctr, Metrics: s.reg,
+	}, w)
+	if err != nil {
+		return nil, err
+	}
+	return st.Profiles[0], nil
+}
 
 // Registry returns the server's metrics registry (the /metrics source).
 func (s *Server) Registry() *telemetry.Registry { return s.reg }
@@ -185,7 +196,8 @@ func (s *Server) enter() bool {
 func (s *Server) exit() { s.inflight.Done() }
 
 // Shutdown stops admitting requests (new ones get 503), waits for
-// in-flight requests to drain, then shuts the engine down. Idempotent.
+// in-flight requests to drain, then waits for every cell study they
+// started — including those whose askers already got 504. Idempotent.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.closed = true
@@ -193,14 +205,15 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	done := make(chan struct{})
 	go func() {
 		s.inflight.Wait()
+		s.studies.Wait()
 		close(done)
 	}()
 	select {
 	case <-done:
+		return nil
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-	return s.engine.Shutdown(ctx)
 }
 
 // cellKey identifies one characterization: a workload abbreviation and
@@ -210,19 +223,20 @@ func (s *Server) Shutdown(ctx context.Context) error {
 type cellKey struct{ abbr, fingerprint string }
 
 // cell computes one (workload, device) profile at most once. The first
-// asker's once starts compute on its own goroutine; p and err are
-// written before done is closed and read only after <-done, so the channel
-// is the happens-before edge. The study is detached from every request
-// context: a waiter whose deadline expires walks away with 504 while the
-// study still fills the cell for later askers.
+// asker's once counts the study into studies and starts compute on its own
+// goroutine; p and err are written before done is closed and read only
+// after <-done, so the channel is the happens-before edge. The study is
+// detached from every request context: a waiter whose deadline expires
+// walks away with 504 while the study still fills the cell for later
+// askers, and Server.Shutdown waits for it through studies.
 //
 // A cell keeps a failed result too. The study runs without a request
 // context and New validates every device configuration, so its only errors
-// are deterministic simulation errors — recomputing would fail the same
-// way — or core.ErrEngineClosed, which can only appear after Shutdown,
-// when every request already gets 503.
+// are deterministic simulation errors: recomputing would fail the same
+// way.
 type cell struct {
 	compute func() (*core.Profile, error) // the study; set in New
+	studies *sync.WaitGroup               // the server's running cell studies
 	once    sync.Once
 	done    chan struct{} // closed when p/err are valid
 	p       *core.Profile
@@ -233,8 +247,12 @@ type cell struct {
 // or for ctx — which bounds only this caller's wait, never the study.
 func (c *cell) get(ctx context.Context) (*core.Profile, error) {
 	c.once.Do(func() {
+		// Counted here, synchronously, while the asking request is still
+		// admitted: Shutdown's wait on studies cannot begin before it.
+		c.studies.Add(1)
 		//lint:ignore golife the study is deliberately detached from its spawner: every asker, this one included, joins via <-c.done in get, and a 504'd first asker must not strand the later ones
 		go func() {
+			defer c.studies.Done()
 			c.p, c.err = c.compute()
 			close(c.done)
 		}()
@@ -248,10 +266,10 @@ func (c *cell) get(ctx context.Context) (*core.Profile, error) {
 }
 
 // profileFor resolves one workload's profile on one device through the
-// read path the whole API shares: the combination's cell, whose study runs
-// on the engine (which itself consults the on-disk cache before
-// simulating). The context only gates how long this caller waits — a
-// deadline that expires mid-study abandons the wait, not the study.
+// read path the whole API shares: the combination's cell, whose study
+// consults the on-disk cache before simulating. The context only gates how
+// long this caller waits — a deadline that expires mid-study abandons the
+// wait, not the study.
 func (s *Server) profileFor(ctx context.Context, w workloads.Workload, devName string) (*core.Profile, error) {
 	return s.cells[cellKey{w.Abbr(), s.devFPs[devName]}].get(ctx)
 }
@@ -277,8 +295,6 @@ func errStatus(err error) int {
 	case errors.Is(err, context.Canceled):
 		// The client went away; 499 is the de-facto convention.
 		return 499
-	case errors.Is(err, core.ErrEngineClosed):
-		return http.StatusServiceUnavailable
 	}
 	return http.StatusInternalServerError
 }

@@ -206,6 +206,51 @@ func TestShutdownRejects(t *testing.T) {
 	}
 }
 
+// TestShutdownWaitsForCellStudy — a request whose deadline expires gets
+// 504 while its study keeps running detached; Shutdown must not return
+// before that study fills its cell, and no goroutine outlives Shutdown.
+func TestShutdownWaitsForCellStudy(t *testing.T) {
+	defer testutil.CheckLeaks(t)()
+	s, err := New(Options{Workers: 1, Timeout: time.Nanosecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rr := do(t, s, "GET", "/api/v1/profile?workload=pb-sgemm", nil); rr.Code != http.StatusGatewayTimeout {
+		t.Fatalf("status = %d, want 504\n%s", rr.Code, rr.Body.String())
+	}
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	c := s.cells[cellKey{"pb-sgemm", s.devFPs["rtx3080"]}]
+	select {
+	case <-c.done:
+	default:
+		t.Fatal("Shutdown returned before the 504'd request's study filled its cell")
+	}
+	if c.err != nil || c.p == nil {
+		t.Errorf("cell holds %v, %v; want pb-sgemm's profile", c.p, c.err)
+	}
+}
+
+// TestWorkersBusyGaugeSettles — cell studies run through core's worker
+// loop, so the workers-busy gauge appears in the registry snapshot once a
+// cell fills, back at 0.
+func TestWorkersBusyGaugeSettles(t *testing.T) {
+	s := newTestServer(t, Options{})
+	if rr := do(t, s, "GET", "/api/v1/profile?workload=pb-sgemm", nil); rr.Code != 200 {
+		t.Fatalf("profile: status = %d\n%s", rr.Code, rr.Body.String())
+	}
+	for _, c := range s.Registry().Snapshot().Counters {
+		if c.Name == telemetry.CtrWorkersBusy {
+			if c.Value != 0 {
+				t.Errorf("%s = %d after the cell filled, want 0", c.Name, c.Value)
+			}
+			return
+		}
+	}
+	t.Errorf("registry snapshot lacks %s after a cell study", telemetry.CtrWorkersBusy)
+}
+
 // TestCellComputesOnce — any number of concurrent askers of one cell run
 // compute exactly once and all get the same result pointer. The leak check
 // proves the study goroutine exits once the cell is filled.
@@ -214,7 +259,7 @@ func TestCellComputesOnce(t *testing.T) {
 	release := make(chan struct{})
 	var runs atomic.Int64
 	want := &core.Profile{}
-	c := &cell{done: make(chan struct{}), compute: func() (*core.Profile, error) {
+	c := &cell{studies: new(sync.WaitGroup), done: make(chan struct{}), compute: func() (*core.Profile, error) {
 		runs.Add(1)
 		<-release
 		return want, nil
@@ -258,7 +303,7 @@ func TestCellKeepsError(t *testing.T) {
 	defer testutil.CheckLeaks(t)()
 	var runs atomic.Int64
 	boom := errors.New("boom")
-	c := &cell{done: make(chan struct{}), compute: func() (*core.Profile, error) {
+	c := &cell{studies: new(sync.WaitGroup), done: make(chan struct{}), compute: func() (*core.Profile, error) {
 		runs.Add(1)
 		return nil, boom
 	}}
