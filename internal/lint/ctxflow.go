@@ -44,8 +44,10 @@ var CtxFlow = &Analyzer{
 	Run:      runCtxFlow,
 }
 
-// ctxFlowScope covers the serving layer: the HTTP server and the study
-// library it blocks on.
+// ctxFlowScope covers the HTTP server and internal/core. No function in
+// internal/core takes a context; the package stays in scope so that a
+// context threaded into the study path later, or a fresh
+// context.Background() added there, is checked from its first line.
 func ctxFlowScope(path string) bool {
 	for _, p := range []string{"repro/internal/server", "repro/internal/core"} {
 		if path == p || len(path) > len(p) && path[:len(p)+1] == p+"/" {

@@ -4,20 +4,18 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-
-	"repro/internal/lint/callgraph"
 )
 
 // GoLife requires every goroutine spawned in the serving layer to have a
-// statically visible join or cancellation path. PR 9's runtime leak
-// checker catches goroutines that outlive a test; this is the compile-time
-// complement: a `go` statement with no structural way to stop is either a
-// leak or an undocumented detachment, and in a drained server both are
-// bugs.
+// statically visible join or cancellation path. The runtime leak checker
+// (internal/testutil) catches goroutines that outlive a test; this is the
+// compile-time complement: a `go` statement with no structural way to
+// stop is either a leak or an undocumented detachment, and in a drained
+// server both are bugs.
 //
-// A go statement is accepted when the spawned function — its literal body,
-// or for a named callee every function reachable from it over non-go call
-// edges — shows any of:
+// A go statement is accepted when the spawned function — a literal, or a
+// static callee — or any function reachable from it over static non-go
+// calls shows any of:
 //
 //   - a sync.WaitGroup Done call (by the repo's convention the spawner
 //     holds the matching Add and someone Waits);
@@ -26,25 +24,25 @@ import (
 //   - a close of, or send on, a channel the spawning function receives on,
 //     matched syntactically by expression — close(done) in the goroutine
 //     against <-done in the spawner — with one level of
-//     parameter-to-argument translation for named callees, so
+//     parameter-to-argument translation for the spawned function, so
 //     `go s.notify(done)` closing its parameter matches too.
 //
-// A go call whose targets are all outside the analyzed program (say,
-// spawning a stdlib function) produces no call-graph edge and is accepted:
-// unknown is not evidence of a leak. Everything else is a finding. A
-// goroutine that must outlive its spawner (the server cell's detached
-// study) carries a reasoned //lint:ignore suppression, making the
-// detachment a documented, counted decision. The check proves a join
-// edifice exists, not that it is correct — -race and the runtime leak
-// checker remain the schedule-sensitive backstop.
+// A spawn of a static callee outside the loaded packages (a stdlib
+// function, say) has no body to inspect and is accepted. A spawn of an
+// interface method or a function value cannot be resolved statically and
+// is a finding: spawn a literal or a named function so the join path is
+// visible. A goroutine that must outlive its spawner carries a reasoned
+// //lint:ignore suppression, making the detachment a documented, counted
+// decision. The check proves a join edifice exists, not that it is
+// correct — -race and the runtime leak checker remain the
+// schedule-sensitive backstop.
 var GoLife = &Analyzer{
 	Name: "golife",
 	Doc: "require every go statement to have a statically visible join or " +
 		"cancellation path (WaitGroup, spawner-received channel, or ctx exit)",
-	ScopeDoc:       "internal/server, internal/core, internal/telemetry",
-	Scope:          goLifeScope,
-	NeedsCallGraph: true,
-	Run:            runGoLife,
+	ScopeDoc: "internal/server, internal/core, internal/telemetry",
+	Scope:    goLifeScope,
+	Run:      runGoLife,
 }
 
 // goLifeScope covers the long-running serving layer, where an unjoined
@@ -65,27 +63,28 @@ func runGoLife(p *Pass) {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch fn := n.(type) {
 			case *ast.FuncDecl:
-				if fn.Body == nil {
-					return true
-				}
-				if tf, ok := p.Info.Defs[fn.Name].(*types.Func); ok {
-					if node := p.Graph.NodeOf(tf); node != nil {
-						checkGoStmts(p, node, fn.Body)
-					}
+				if fn.Body != nil {
+					checkGoStmts(p, fn.Body)
 				}
 			case *ast.FuncLit:
-				if node := p.Graph.NodeOfLit(fn); node != nil {
-					checkGoStmts(p, node, fn.Body)
-				}
+				checkGoStmts(p, fn.Body)
 			}
 			return true
 		})
 	}
 }
 
+// spawnedFunc is the function a go statement runs, with the type
+// information of the package that declares it.
+type spawnedFunc struct {
+	body  *ast.BlockStmt
+	ftype *ast.FuncType
+	info  *types.Info
+}
+
 // checkGoStmts checks the go statements lexically in body — nested
 // literals are their own spawning scopes, visited by runGoLife.
-func checkGoStmts(p *Pass, node *callgraph.Node, body *ast.BlockStmt) {
+func checkGoStmts(p *Pass, body *ast.BlockStmt) {
 	var spawns []*ast.GoStmt
 	ast.Inspect(body, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
@@ -101,7 +100,28 @@ func checkGoStmts(p *Pass, node *callgraph.Node, body *ast.BlockStmt) {
 	}
 	recvKeys := spawnerReceiveKeys(p, body)
 	for _, g := range spawns {
-		if !goJoinEvidence(p, node, g, recvKeys) {
+		lit, isLit := ast.Unparen(g.Call.Fun).(*ast.FuncLit)
+		fn := staticCallee(p.Info, g.Call)
+		var target spawnedFunc
+		switch {
+		case isLit:
+			target = spawnedFunc{lit.Body, lit.Type, p.Info}
+		case fn != nil:
+			d, ok := p.funcs.decl(fn)
+			if !ok {
+				continue // outside the loaded packages: no body to inspect
+			}
+			target = spawnedFunc{d.Body, d.Type, d.pkg.Info}
+		case dynamicCall(p.Info, g.Call):
+			p.Reportf(g.Pos(),
+				"goroutine runs %s, which golife cannot resolve statically; "+
+					"spawn a function literal or a named function so its join path is visible",
+				types.ExprString(g.Call.Fun))
+			continue
+		default:
+			continue // a built-in
+		}
+		if !goJoinEvidence(p, target, g.Call, recvKeys) {
 			p.Reportf(g.Pos(),
 				"goroutine has no statically visible join or cancellation path "+
 					"(no WaitGroup.Done, no channel the spawner receives on, no ctx-derived exit); "+
@@ -133,49 +153,61 @@ func spawnerReceiveKeys(p *Pass, body *ast.BlockStmt) map[string]bool {
 	return keys
 }
 
-// goJoinEvidence reports whether the go statement's spawned function shows
-// a join or cancellation path. Targets come from the call graph (so
-// interface dispatch and function values resolve like everywhere else);
-// with no in-program target the spawn is accepted as unknown-benign.
-func goJoinEvidence(p *Pass, node *callgraph.Node, g *ast.GoStmt, recvKeys map[string]bool) bool {
-	var targets []*callgraph.Edge
-	for _, e := range node.Out {
-		if e.Go && e.Pos == g.Call.Pos() && e.Kind != callgraph.Closure {
-			targets = append(targets, e)
-		}
-	}
-	if len(targets) == 0 {
+// goJoinEvidence reports whether the spawned function, or a function it
+// reaches over static non-go calls, shows a join or cancellation path.
+func goJoinEvidence(p *Pass, target spawnedFunc, call *ast.CallExpr, recvKeys map[string]bool) bool {
+	// The spawned function gets channel-key matching with parameter
+	// translation; deeper bodies contribute the position-independent
+	// evidence (Done, ctx, range).
+	if bodyJoinEvidence(p, target.info, target.body, recvKeys, paramArgKeys(p, target, call)) {
 		return true
 	}
-	for _, e := range targets {
-		// The directly spawned function gets channel-key matching with
-		// parameter translation; deeper reachable bodies contribute the
-		// positional-independent evidence (Done, ctx, range).
-		if bodyJoinEvidence(p, e.Callee, g.Call, recvKeys, true) {
+	visited := map[*ast.BlockStmt]bool{target.body: true}
+	queue := staticCallees(p, target.info, target.body)
+	for len(queue) > 0 {
+		d := queue[0]
+		queue = queue[1:]
+		if visited[d.Body] {
+			continue
+		}
+		visited[d.Body] = true
+		if bodyJoinEvidence(p, d.pkg.Info, d.Body, nil, nil) {
 			return true
 		}
-		reach := p.Graph.Reachable([]*callgraph.Node{e.Callee}, func(e *callgraph.Edge) bool {
-			return !e.Go
-		})
-		for _, m := range reach {
-			if m != e.Callee && bodyJoinEvidence(p, m, nil, nil, false) {
-				return true
-			}
-		}
+		queue = append(queue, staticCallees(p, d.pkg.Info, d.Body)...)
 	}
 	return false
 }
 
-// bodyJoinEvidence scans one function node's body for join or cancellation
-// evidence. When direct is true, channel close/send sites are matched
-// against the spawner's receive keys — literally for captured channels,
-// and through call-argument translation for parameters of a named callee
-// (call is the go statement's call in that case).
-func bodyJoinEvidence(p *Pass, node *callgraph.Node, call *ast.CallExpr, recvKeys map[string]bool, direct bool) bool {
-	info := node.Info
-	paramArg := paramArgKeys(p, node, call)
+// staticCallees returns the loaded declarations body calls statically,
+// nested literals included, go-spawned calls excluded.
+func staticCallees(p *Pass, info *types.Info, body *ast.BlockStmt) []funcDecl {
+	var out []funcDecl
+	spawned := make(map[*ast.CallExpr]bool)
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch st := n.(type) {
+		case *ast.GoStmt:
+			spawned[st.Call] = true
+		case *ast.CallExpr:
+			if fn := staticCallee(info, st); fn != nil && !spawned[st] {
+				if d, ok := p.funcs.decl(fn); ok {
+					out = append(out, d)
+				}
+			}
+		}
+		return true
+	})
+	return out
+}
+
+// bodyJoinEvidence scans one function body for join or cancellation
+// evidence. With recvKeys (the spawned function itself), channel
+// close/send sites are matched against the spawner's receive keys —
+// literally for captured channels, and through paramArg for parameters.
+func bodyJoinEvidence(p *Pass, info *types.Info, body *ast.BlockStmt, recvKeys map[string]bool, paramArg map[string]string) bool {
+	direct := recvKeys != nil
 	found := false
-	ast.Inspect(node.Body, func(n ast.Node) bool {
+	ast.Inspect(body, func(n ast.Node) bool {
 		if found {
 			return false
 		}
@@ -215,24 +247,23 @@ func bodyJoinEvidence(p *Pass, node *callgraph.Node, call *ast.CallExpr, recvKey
 	return found
 }
 
-// paramArgKeys maps a named callee's channel-typed parameter names to the
-// spawner-side keys of the go call's corresponding arguments, so a close
-// of a parameter matches a receive on the argument. Nil when there is no
-// call to translate through (the spawned literal captures instead).
-func paramArgKeys(p *Pass, node *callgraph.Node, call *ast.CallExpr) map[string]string {
-	if call == nil || node.FType == nil || node.FType.Params == nil {
+// paramArgKeys maps the spawned function's channel-typed parameter names
+// to the spawner-side keys of the go call's corresponding arguments, so a
+// close of a parameter matches a receive on the argument.
+func paramArgKeys(p *Pass, target spawnedFunc, call *ast.CallExpr) map[string]string {
+	if target.ftype.Params == nil {
 		return nil
 	}
 	out := make(map[string]string)
 	i := 0
-	for _, field := range node.FType.Params.List {
+	for _, field := range target.ftype.Params.List {
 		names := field.Names
 		if len(names) == 0 {
 			i++
 			continue
 		}
 		for _, name := range names {
-			if i < len(call.Args) && isChanType(node.Info.TypeOf(field.Type)) {
+			if i < len(call.Args) && isChanType(target.info.TypeOf(field.Type)) {
 				out[name.Name] = exprKey(p.Fset, ast.Unparen(call.Args[i]))
 			}
 			i++

@@ -1,13 +1,8 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
-	"sort"
-
-	"repro/internal/lint/callgraph"
 )
 
 // LaunchPath enforces the model's single-entry invariant: every piece of
@@ -16,10 +11,9 @@ import (
 // bypassing the timing model — the profiler, cache, and figures would
 // silently trust it.
 //
-// The original check flagged composite literals only, which a helper
-// could launder trivially (declare a zero value, assign its fields,
-// return it). The analyzer is now an interprocedural escape check with
-// four rules, applied outside internal/gpu:
+// A composite-literal check alone would let a helper launder a result
+// (declare a zero value, assign its fields, return it), so three rules
+// apply outside internal/gpu:
 //
 //  1. composite literals of the result types are fabrication;
 //  2. writing any field of a result-typed value is fabrication —
@@ -27,27 +21,22 @@ import (
 //     them;
 //  3. returning a variable whose only binding is a zero-value `var`
 //     declaration is fabrication (the zero value escapes as if it were a
-//     modeled result);
-//  4. returning the result of a call that — resolved through the call
-//     graph, including interface dispatch — reaches a function marked
-//     fabricating by rules 1–3 (or by this rule, to a fixpoint)
-//     re-exports the fabrication; the finding names the fabricating
-//     callee.
+//     modeled result).
 //
-// Values genuinely derived from the model stay clean: results assigned
-// from Device.Launch (or any non-fabricating call), copies, slices built
-// with make+copy, and zero-value vars that are later wholly reassigned
-// are all accepted. The check is flow-insensitive and biased against
-// false positives: an unresolved call target is assumed benign.
+// Every fabrication is reported where it is forged, so a caller that
+// merely passes a forged result on needs no finding of its own: the
+// helper's finding already names the defect. Values genuinely derived
+// from the model stay clean: results assigned from Device.Launch (or any
+// call), copies, slices built with make+copy, and zero-value vars that are
+// later wholly reassigned are all accepted.
 var LaunchPath = &Analyzer{
 	Name: "launchpath",
 	Doc: "forbid fabricating gpu.LaunchResult/gpu.Occupancy outside " +
-		"internal/gpu (literals, field writes, zero-value escapes, and " +
-		"laundering through helpers); modeled results come only from Device.Launch",
-	ScopeDoc:       "all packages outside internal/gpu (whole-program)",
-	Scope:          func(path string) bool { return !gpuPackage(path) },
-	NeedsCallGraph: true,
-	RunProgram:     runLaunchPath,
+		"internal/gpu (literals, field writes, zero-value escapes); " +
+		"modeled results come only from Device.Launch",
+	ScopeDoc: "all packages outside internal/gpu",
+	Scope:    func(path string) bool { return !gpuPackage(path) },
+	Run:      runLaunchPath,
 }
 
 // resultTypeName returns "LaunchResult" or "Occupancy" when t is one of
@@ -71,102 +60,49 @@ func resultTypeName(t types.Type) string {
 	return ""
 }
 
-func runLaunchPath(p *ProgramPass) {
-	// fabricating maps every function found to fabricate a result to its
-	// short name for rule-4 messages.
-	fabricating := make(map[*callgraph.Node]string)
-	var scoped []*callgraph.Node
-	for _, pkg := range p.Pkgs {
-		for _, file := range pkg.Files {
-			runLaunchPathFile(p, pkg, file, fabricating, &scoped)
-		}
-	}
-	launchPathCascade(p, scoped, fabricating)
-}
-
-// runLaunchPathFile applies rules 1–3 to one file, marking each enclosing
-// function that fabricates, and collects the file's function nodes for the
-// rule-4 cascade.
-func runLaunchPathFile(p *ProgramPass, pkg *Package, file *ast.File, fabricating map[*callgraph.Node]string, scoped *[]*callgraph.Node) {
-	mark := func(encl *callgraph.Node) {
-		if encl != nil {
-			if _, ok := fabricating[encl]; !ok {
-				fabricating[encl] = shortNodeName(encl)
-			}
-		}
-	}
-	// walk visits n with encl as the innermost enclosing function node,
-	// recursing into nested functions with their own nodes.
-	var walk func(n ast.Node, encl *callgraph.Node)
-	visit := func(n ast.Node, encl *callgraph.Node) bool {
-		switch st := n.(type) {
-		case *ast.FuncDecl:
-			if st.Body == nil {
-				return false
-			}
-			var node *callgraph.Node
-			if fn, ok := pkg.Info.Defs[st.Name].(*types.Func); ok {
-				node = p.Graph.NodeOf(fn)
-			}
-			if node != nil {
-				*scoped = append(*scoped, node)
-				checkZeroReturns(p, pkg, st.Body, node, fabricating)
-			}
-			walk(st.Body, node)
-			return false
-		case *ast.FuncLit:
-			node := p.Graph.NodeOfLit(st)
-			if node != nil {
-				*scoped = append(*scoped, node)
-				checkZeroReturns(p, pkg, st.Body, node, fabricating)
-			}
-			walk(st.Body, node)
-			return false
-		case *ast.CompositeLit:
-			switch resultTypeName(pkg.Info.TypeOf(st)) {
-			case "LaunchResult":
-				p.Reportf(st.Pos(), "gpu.LaunchResult constructed outside internal/gpu; modeled results must come from Device.Launch")
-				mark(encl)
-			case "Occupancy":
-				p.Reportf(st.Pos(), "gpu.Occupancy constructed outside internal/gpu; occupancy is computed by Device.Launch")
-				mark(encl)
-			}
-		case *ast.AssignStmt:
-			for _, lhs := range st.Lhs {
-				if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
-					if name := resultTypeName(pkg.Info.TypeOf(sel.X)); name != "" {
-						p.Reportf(lhs.Pos(),
-							"field write to gpu.%s outside internal/gpu mutates a modeled result; results come only from Device.Launch", name)
-						mark(encl)
-					}
+func runLaunchPath(p *Pass) {
+	for _, file := range p.Files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch st := n.(type) {
+			case *ast.FuncDecl:
+				if st.Body != nil {
+					checkZeroReturns(p, st.Body)
 				}
-			}
-		case *ast.IncDecStmt:
-			if sel, ok := ast.Unparen(st.X).(*ast.SelectorExpr); ok {
-				if name := resultTypeName(pkg.Info.TypeOf(sel.X)); name != "" {
-					p.Reportf(st.X.Pos(),
-						"field write to gpu.%s outside internal/gpu mutates a modeled result; results come only from Device.Launch", name)
-					mark(encl)
+			case *ast.FuncLit:
+				checkZeroReturns(p, st.Body)
+			case *ast.CompositeLit:
+				switch resultTypeName(p.Info.TypeOf(st)) {
+				case "LaunchResult":
+					p.Reportf(st.Pos(), "gpu.LaunchResult constructed outside internal/gpu; modeled results must come from Device.Launch")
+				case "Occupancy":
+					p.Reportf(st.Pos(), "gpu.Occupancy constructed outside internal/gpu; occupancy is computed by Device.Launch")
 				}
+			case *ast.AssignStmt:
+				for _, lhs := range st.Lhs {
+					reportFieldWrite(p, lhs)
+				}
+			case *ast.IncDecStmt:
+				reportFieldWrite(p, st.X)
 			}
-		}
-		return true
-	}
-	walk = func(n ast.Node, encl *callgraph.Node) {
-		ast.Inspect(n, func(m ast.Node) bool {
-			if m == n {
-				return true
-			}
-			return visit(m, encl)
+			return true
 		})
 	}
-	walk(file, nil)
+}
+
+// reportFieldWrite applies rule 2 to one assigned expression.
+func reportFieldWrite(p *Pass, lhs ast.Expr) {
+	if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
+		if name := resultTypeName(p.Info.TypeOf(sel.X)); name != "" {
+			p.Reportf(lhs.Pos(),
+				"field write to gpu.%s outside internal/gpu mutates a modeled result; results come only from Device.Launch", name)
+		}
+	}
 }
 
 // checkZeroReturns applies rule 3 to one function body (nested literals
 // excluded — they are their own functions): returning a variable whose
 // only binding is a zero-value declaration of a result type.
-func checkZeroReturns(p *ProgramPass, pkg *Package, body *ast.BlockStmt, encl *callgraph.Node, fabricating map[*callgraph.Node]string) {
+func checkZeroReturns(p *Pass, body *ast.BlockStmt) {
 	zeroVars := make(map[types.Object]string) // object -> result type name
 	assigned := make(map[types.Object]bool)
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -177,12 +113,12 @@ func checkZeroReturns(p *ProgramPass, pkg *Package, body *ast.BlockStmt, encl *c
 			if len(st.Values) != 0 || st.Type == nil {
 				return true
 			}
-			name := resultTypeName(pkg.Info.TypeOf(st.Type))
+			name := resultTypeName(p.Info.TypeOf(st.Type))
 			if name == "" {
 				return true
 			}
 			for _, id := range st.Names {
-				if obj := pkg.Info.Defs[id]; obj != nil {
+				if obj := p.Info.Defs[id]; obj != nil {
 					zeroVars[obj] = name
 				}
 			}
@@ -192,21 +128,21 @@ func checkZeroReturns(p *ProgramPass, pkg *Package, body *ast.BlockStmt, encl *c
 			// only flags values that stayed untouched zeros.
 			for _, lhs := range st.Lhs {
 				if id := baseIdent(lhs); id != nil {
-					if obj := identObj(pkg.Info, id); obj != nil {
+					if obj := identObj(p.Info, id); obj != nil {
 						assigned[obj] = true
 					}
 				}
 			}
 		case *ast.IncDecStmt:
 			if id := baseIdent(st.X); id != nil {
-				if obj := identObj(pkg.Info, id); obj != nil {
+				if obj := identObj(p.Info, id); obj != nil {
 					assigned[obj] = true
 				}
 			}
 		case *ast.RangeStmt:
 			for _, e := range []ast.Expr{st.Key, st.Value} {
 				if id, ok := e.(*ast.Ident); ok {
-					if obj := identObj(pkg.Info, id); obj != nil {
+					if obj := identObj(p.Info, id); obj != nil {
 						assigned[obj] = true
 					}
 				}
@@ -230,17 +166,10 @@ func checkZeroReturns(p *ProgramPass, pkg *Package, body *ast.BlockStmt, encl *c
 			if !ok {
 				continue
 			}
-			obj := pkg.Info.Uses[id]
-			name, isZero := zeroVars[obj]
-			if !isZero || assigned[obj] {
-				continue
-			}
-			p.Reportf(res.Pos(),
-				"zero-value gpu.%s escapes via return; modeled results must come from Device.Launch", name)
-			if encl != nil {
-				if _, ok := fabricating[encl]; !ok {
-					fabricating[encl] = shortNodeName(encl)
-				}
+			obj := p.Info.Uses[id]
+			if name, isZero := zeroVars[obj]; isZero && !assigned[obj] {
+				p.Reportf(res.Pos(),
+					"zero-value gpu.%s escapes via return; modeled results must come from Device.Launch", name)
 			}
 		}
 		return true
@@ -273,93 +202,4 @@ func identObj(info *types.Info, id *ast.Ident) types.Object {
 		return obj
 	}
 	return info.Defs[id]
-}
-
-// launchPathCascade applies rule 4 to a fixpoint: any scoped function
-// returning the result of a call into a fabricating function is itself
-// fabricating, reported once at the offending return.
-func launchPathCascade(p *ProgramPass, scoped []*callgraph.Node, fabricating map[*callgraph.Node]string) {
-	reported := make(map[*callgraph.Node]bool)
-	for changed := true; changed; {
-		changed = false
-		for _, node := range scoped {
-			if _, done := fabricating[node]; done || reported[node] {
-				continue
-			}
-			pos, name, callee := fabricatedReturn(node, fabricating)
-			if callee == nil {
-				continue
-			}
-			p.Reportf(pos,
-				"gpu.%s returned here is fabricated outside internal/gpu by %s (not derived from Device.Launch)",
-				name, fabricating[callee])
-			fabricating[node] = shortNodeName(node)
-			reported[node] = true
-			changed = true
-		}
-	}
-}
-
-// fabricatedReturn scans node's body (nested literals excluded) for a
-// return whose result expression is a call resolving to a fabricating
-// function, returning the first such site in source order.
-func fabricatedReturn(node *callgraph.Node, fabricating map[*callgraph.Node]string) (pos token.Pos, typeName string, callee *callgraph.Node) {
-	found := false
-	ast.Inspect(node.Body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		ret, ok := n.(*ast.ReturnStmt)
-		if !ok {
-			return true
-		}
-		for _, res := range ret.Results {
-			call, ok := ast.Unparen(res).(*ast.CallExpr)
-			if !ok {
-				continue
-			}
-			name := resultTypeName(node.Info.TypeOf(call))
-			if name == "" {
-				continue
-			}
-			targets := callTargets(node, call)
-			sort.Slice(targets, func(i, j int) bool { return targets[i].Name < targets[j].Name })
-			for _, t := range targets {
-				if _, fab := fabricating[t]; fab {
-					pos, typeName, callee = res.Pos(), name, t
-					found = true
-					return false
-				}
-			}
-		}
-		return true
-	})
-	return pos, typeName, callee
-}
-
-// callTargets returns the call-graph targets recorded for one call site.
-func callTargets(node *callgraph.Node, call *ast.CallExpr) []*callgraph.Node {
-	var out []*callgraph.Node
-	for _, e := range node.Out {
-		if e.Pos == call.Pos() && !e.Go && e.Kind != callgraph.Closure {
-			out = append(out, e.Callee)
-		}
-	}
-	return out
-}
-
-// shortNodeName renders a node name without the package path for
-// messages: "fabricate" or "fixture.(*T).helper" shortened to its
-// function part.
-func shortNodeName(n *callgraph.Node) string {
-	if n.Func != nil {
-		if sig, ok := n.Func.Type().(*types.Signature); ok && sig.Recv() != nil {
-			return fmt.Sprintf("%s.%s", recvString(n.Func), n.Func.Name())
-		}
-		return n.Func.Name()
-	}
-	return n.Name
 }

@@ -6,7 +6,17 @@
 // output, no non-finite float reaching a JSON boundary unclamped, all
 // modeled GPU work routed through gpu.Device.Launch, no silently dropped
 // errors on stores/sinks/closers — into machine-checked rules instead of
-// reviewer vigilance.
+// reviewer vigilance. A second group guards the serving layer's
+// concurrency: annotated lock discipline, context propagation, atomic
+// access, lock order and goroutine joins.
+//
+// Analyzers that follow calls (lockorder, golife) use static resolution
+// only: Run indexes every loaded function declaration by its full name, and
+// a call resolves when it names a function or a method on a concrete
+// receiver. A call through an interface method or a function value is not
+// followed; lockorder reports one made under a held lock, and golife
+// reports a goroutine that runs one, so an unseen target is a finding
+// rather than a silent gap.
 //
 // The driver is dependency-free: packages are parsed with go/parser and
 // type-checked with go/types against export data produced by `go list
@@ -26,8 +36,6 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-
-	"repro/internal/lint/callgraph"
 )
 
 // Finding is one analyzer diagnostic.
@@ -56,7 +64,7 @@ type Package struct {
 // Analyzer is one invariant checker. An analyzer is either per-package
 // (Run) or whole-program (RunProgram): per-package analyzers see one
 // package at a time, whole-program analyzers see every in-scope package at
-// once and can follow the call graph across package boundaries.
+// once. Both kinds can follow static calls into any loaded package.
 type Analyzer struct {
 	Name string
 	Doc  string
@@ -66,9 +74,6 @@ type Analyzer struct {
 	// Scope restricts the analyzer to packages for which it returns true.
 	// A nil Scope means every package.
 	Scope func(pkgPath string) bool
-	// NeedsCallGraph requests the whole-program call graph; Run builds it
-	// once per invocation and shares it across every analyzer that asks.
-	NeedsCallGraph bool
 	// Run is the per-package entry point; nil for whole-program analyzers.
 	Run func(*Pass)
 	// RunProgram is the whole-program entry point, called once with every
@@ -79,10 +84,9 @@ type Analyzer struct {
 // Pass couples an analyzer with one package for a single run.
 type Pass struct {
 	*Package
-	// Graph is the whole-program call graph, non-nil iff the analyzer
-	// declared NeedsCallGraph. It spans every analyzed package, not just
-	// this one.
-	Graph    *callgraph.Graph
+	// funcs indexes every loaded function declaration, not just this
+	// package's.
+	funcs    funcIndex
 	analyzer *Analyzer
 	findings *[]Finding
 }
@@ -103,10 +107,8 @@ type ProgramPass struct {
 	Pkgs []*Package
 	// Fset positions every file of every package.
 	Fset *token.FileSet
-	// Graph is the whole-program call graph (covering all packages, even
-	// out-of-scope ones), non-nil iff the analyzer declared
-	// NeedsCallGraph.
-	Graph    *callgraph.Graph
+	// funcs indexes every loaded function declaration, in scope or not.
+	funcs    funcIndex
 	analyzer *Analyzer
 	findings *[]Finding
 }
@@ -118,6 +120,76 @@ func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...any) {
 		Analyzer: p.analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
 	})
+}
+
+// funcDecl is one loaded function declaration with the package it was
+// type-checked in, so a callee's body is read with its own type
+// information.
+type funcDecl struct {
+	*ast.FuncDecl
+	pkg *Package
+}
+
+// funcIndex holds every loaded function declaration with a body, keyed by
+// types.Func.FullName(). The key is a name, not the *types.Func, because
+// each package is type-checked against export data: a call in one package
+// refers to a different object than the declaration it names in another.
+type funcIndex map[string]funcDecl
+
+func indexFuncs(pkgs []*Package) funcIndex {
+	ix := make(funcIndex)
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
+					ix[fn.FullName()] = funcDecl{FuncDecl: fd, pkg: pkg}
+				}
+			}
+		}
+	}
+	return ix
+}
+
+// decl returns the loaded declaration of fn; ok is false for functions
+// outside the loaded packages (the standard library, say).
+func (ix funcIndex) decl(fn *types.Func) (funcDecl, bool) {
+	d, ok := ix[fn.Origin().FullName()]
+	return d, ok
+}
+
+// staticCallee resolves the function or concrete method a call always
+// invokes, or nil when the target is chosen at run time (an interface
+// method or a function value) and for built-ins, conversions and function
+// literals.
+func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
+	fn := calleeFunc(info, call)
+	if fn == nil || isInterfaceMethod(fn) {
+		return nil
+	}
+	return fn
+}
+
+// dynamicCall reports whether a call's target is chosen at run time: an
+// interface method or a function value.
+func dynamicCall(info *types.Info, call *ast.CallExpr) bool {
+	fun := ast.Unparen(call.Fun)
+	if _, ok := fun.(*ast.FuncLit); ok {
+		return false
+	}
+	if tv := info.Types[fun]; tv.IsType() || tv.IsBuiltin() {
+		return false
+	}
+	fn := calleeFunc(info, call)
+	return fn == nil || isInterfaceMethod(fn)
+}
+
+func isInterfaceMethod(fn *types.Func) bool {
+	recv := fn.Type().(*types.Signature).Recv()
+	return recv != nil && types.IsInterface(recv.Type())
 }
 
 // Analyzers returns every cactuslint analyzer in stable order.
@@ -168,12 +240,12 @@ func gpuPackage(path string) bool {
 }
 
 // Run applies the analyzers to the packages, filters suppressed findings,
-// and returns the rest sorted by position. When any requested analyzer
-// declares NeedsCallGraph the whole-program call graph is built exactly
-// once, over every package, and shared.
+// and returns the rest sorted by position. The function index every
+// analyzer resolves static calls through is built once, over every
+// package.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 	var all []Finding
-	graph := sharedGraph(pkgs, analyzers)
+	funcs := indexFuncs(pkgs)
 	// Suppressions are collected globally so whole-program findings filter
 	// the same way per-package ones do.
 	supAll := make(map[string]map[int][]directive)
@@ -190,11 +262,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 				continue
 			}
 			var fs []Finding
-			pass := &Pass{Package: pkg, analyzer: a, findings: &fs}
-			if a.NeedsCallGraph {
-				pass.Graph = graph
-			}
-			a.Run(pass)
+			a.Run(&Pass{Package: pkg, funcs: funcs, analyzer: a, findings: &fs})
 			for _, f := range fs {
 				if !suppressed(supAll, f) {
 					all = append(all, f)
@@ -216,11 +284,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 			continue
 		}
 		var fs []Finding
-		pass := &ProgramPass{Pkgs: scoped, Fset: scoped[0].Fset, analyzer: a, findings: &fs}
-		if a.NeedsCallGraph {
-			pass.Graph = graph
-		}
-		a.RunProgram(pass)
+		a.RunProgram(&ProgramPass{Pkgs: scoped, Fset: scoped[0].Fset, funcs: funcs, analyzer: a, findings: &fs})
 		for _, f := range fs {
 			if !suppressed(supAll, f) {
 				all = append(all, f)
@@ -241,26 +305,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 		return a.Message < b.Message
 	})
 	return all
-}
-
-// sharedGraph builds the whole-program call graph once per Run when any
-// requested analyzer asks for it, or returns nil.
-func sharedGraph(pkgs []*Package, analyzers []*Analyzer) *callgraph.Graph {
-	needed := false
-	for _, a := range analyzers {
-		if a.NeedsCallGraph {
-			needed = true
-			break
-		}
-	}
-	if !needed || len(pkgs) == 0 {
-		return nil
-	}
-	srcs := make([]callgraph.Source, len(pkgs))
-	for i, p := range pkgs {
-		srcs[i] = callgraph.Source{Path: p.Path, Files: p.Files, Info: p.Info, Pkg: p.Types}
-	}
-	return callgraph.Build(pkgs[0].Fset, srcs)
 }
 
 // ignorePrefix opens a suppression directive.

@@ -7,14 +7,12 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-
-	"repro/internal/lint/callgraph"
 )
 
 // LockOrder detects potential deadlocks from inconsistent mutex
 // acquisition order. It is whole-program: every function's syntactic
 // Lock/RLock…Unlock/RUnlock intervals are computed, the locks acquired by
-// its callees (transitively, over the call graph) are folded in, and every
+// its callees (transitively, over static calls) are folded in, and every
 // "B acquired while A is held" pair becomes an edge A → B in a global
 // lock-acquisition graph. A cycle in that graph means two call chains can
 // acquire the same locks in opposite orders — the classic ABBA deadlock —
@@ -31,7 +29,14 @@ import (
 // a guaranteed self-deadlock for a plain Mutex), not when one body locks
 // two sibling instances directly. Goroutine spawns are not "while
 // holding": a `go` statement's callee acquires its locks on another
-// schedule, so go edges are excluded from propagation.
+// schedule, so go calls are not followed.
+//
+// Calls are followed only where they resolve statically: named functions,
+// methods on concrete receivers, and immediately invoked literals. A call
+// through an interface method or a function value could acquire anything,
+// so one made while a lock is held — directly, or inside a static callee —
+// is itself a finding: call it after unlocking, or call the concrete
+// method.
 //
 // The held interval is syntactic and flow-insensitive: a lock is held from
 // its Lock call to the first following non-deferred Unlock of the same
@@ -41,11 +46,11 @@ import (
 // reporter whose cycles are then human-reviewed.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
-	Doc: "report cycles in the interprocedural lock-acquisition order " +
-		"(potential ABBA deadlocks) with a witness chain",
-	ScopeDoc:       "all packages (whole-program)",
-	NeedsCallGraph: true,
-	RunProgram:     runLockOrder,
+	Doc: "report cycles in the lock-acquisition order over static calls " +
+		"(potential ABBA deadlocks) with a witness chain, and interface or " +
+		"function-value calls made while a lock is held",
+	ScopeDoc:   "all packages (whole-program)",
+	RunProgram: runLockOrder,
 }
 
 // lockClass identifies one lock by declaration, not instance.
@@ -65,6 +70,24 @@ type lockEvent struct {
 	deferred bool // inside a defer statement
 }
 
+// lockCall is one call a body makes on its own goroutine.
+type lockCall struct {
+	pos token.Pos
+	// callee is the resolved body; nil for a dynamic call.
+	callee *ast.BlockStmt
+	// name renders the target for messages: the callee's full name,
+	// "func literal", or the dynamic call's kind and expression.
+	name string
+}
+
+// lockBody is one function body's lock events and calls in source order,
+// nested literals excluded (each is a body of its own).
+type lockBody struct {
+	events []lockEvent
+	calls  []lockCall
+	end    token.Pos
+}
+
 // lockEdge is one "to acquired while from is held" observation.
 type lockEdge struct {
 	from, to lockClass
@@ -72,16 +95,21 @@ type lockEdge struct {
 	via      string    // "" for direct nesting, else the callee's name
 }
 
-// runLockOrder builds the lock-acquisition graph and reports its cycles.
+// runLockOrder builds the lock-acquisition graph and reports its cycles,
+// plus every dynamic call made while a lock is held.
 func runLockOrder(p *ProgramPass) {
-	// events and direct acquisition classes per call-graph node, for the
-	// packages in scope; the call graph itself spans everything analyzed.
-	events := make(map[*callgraph.Node][]lockEvent)
+	c := &lockCollector{p: p, bodies: make(map[*ast.BlockStmt]*lockBody),
+		reach: make(map[*ast.BlockStmt]lockReach)}
 	for _, pkg := range p.Pkgs {
-		collectLockEvents(pkg, p.Graph, events)
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+					c.collect(pkg, fd.Body, fd.Name.Name)
+				}
+			}
+		}
 	}
 
-	trans := &transAcquires{events: events, memo: make(map[*callgraph.Node][]lockClass)}
 	edges := make(map[[2]string]*lockEdge)
 	addEdge := func(e lockEdge) {
 		k := [2]string{e.from.key, e.to.key}
@@ -89,21 +117,18 @@ func runLockOrder(p *ProgramPass) {
 			edges[k] = &e
 		}
 	}
-
-	for _, node := range p.Graph.Nodes {
-		evs := events[node]
-		if len(evs) == 0 {
-			continue
-		}
-		for i, a := range evs {
+	for _, body := range c.order {
+		lb := c.bodies[body]
+		reported := make(map[token.Pos]bool)
+		for i, a := range lb.events {
 			if !a.acquire {
 				continue
 			}
-			end := heldEnd(evs, i, node.Body.End())
+			end := heldEnd(lb.events, i, lb.end)
 			// Direct nesting: a different class acquired inside the
 			// interval. Same-class direct nesting is skipped — it is
 			// usually two sibling instances (shards), not recursion.
-			for j, b := range evs {
+			for j, b := range lb.events {
 				if j == i || !b.acquire || b.pos <= a.pos || b.pos >= end {
 					continue
 				}
@@ -112,15 +137,35 @@ func runLockOrder(p *ProgramPass) {
 				}
 			}
 			// Call-mediated: everything a callee (transitively) acquires
-			// is acquired while a is held. go-spawned callees run on
-			// their own schedule; lexical containment is not a call.
-			for _, ce := range node.Out {
-				if ce.Pos <= a.pos || ce.Pos >= end || ce.Go || ce.Kind == callgraph.Closure {
+			// is acquired while a is held.
+			for _, call := range lb.calls {
+				if call.pos <= a.pos || call.pos >= end {
 					continue
 				}
-				for _, c := range trans.of(ce.Callee) {
-					addEdge(lockEdge{from: a.class, to: c, pos: ce.Pos, via: ce.Callee.Name})
+				var r lockReach
+				if call.callee != nil {
+					r = c.reachOf(call.callee)
 				}
+				for _, cls := range r.classes {
+					addEdge(lockEdge{from: a.class, to: cls, pos: call.pos, via: call.name})
+				}
+				if reported[call.pos] {
+					continue
+				}
+				const advice = "its target, and the locks it takes, are chosen at run time; " +
+					"call it after unlocking or call a concrete function"
+				switch {
+				case call.callee == nil:
+					p.Reportf(call.pos, "call through %s made while %s is held: %s",
+						call.name, a.class.name, advice)
+				case r.dynamic != nil:
+					pos := p.Fset.Position(r.dynamic.pos)
+					p.Reportf(call.pos, "call to %s made while %s is held reaches a call through %s at %s:%d: %s",
+						call.name, a.class.name, r.dynamic.name, pos.Filename, pos.Line, advice)
+				default:
+					continue
+				}
+				reported[call.pos] = true
 			}
 		}
 	}
@@ -140,103 +185,118 @@ func heldEnd(evs []lockEvent, i int, bodyEnd token.Pos) token.Pos {
 	return bodyEnd
 }
 
-// transAcquires memoizes the union of lock classes acquired by a node and
-// everything reachable from it over call edges (no go spawns, no bare
-// lexical containment).
-type transAcquires struct {
-	events map[*callgraph.Node][]lockEvent
-	memo   map[*callgraph.Node][]lockClass
+// lockCollector gathers every body's events and calls.
+type lockCollector struct {
+	p      *ProgramPass
+	bodies map[*ast.BlockStmt]*lockBody
+	// order is the deterministic visiting order: packages by path, then
+	// source order, each literal after its enclosing body.
+	order []*ast.BlockStmt
+	reach map[*ast.BlockStmt]lockReach // memo for reachOf
 }
 
-func (t *transAcquires) of(n *callgraph.Node) []lockClass {
-	if got, ok := t.memo[n]; ok {
-		return got
-	}
-	// Mark before walking so call cycles terminate; the final value is
-	// computed over the full reachable set, so the placeholder is only
-	// visible to re-entrant lookups of this same node.
-	t.memo[n] = nil
-	seen := make(map[string]lockClass)
-	var walk func(m *callgraph.Node, visited map[*callgraph.Node]bool)
-	walk = func(m *callgraph.Node, visited map[*callgraph.Node]bool) {
-		if visited[m] {
-			return
-		}
-		visited[m] = true
-		for _, e := range t.events[m] {
-			if e.acquire {
-				seen[e.class.key] = e.class
-			}
-		}
-		for _, e := range m.Out {
-			if e.Go || e.Kind == callgraph.Closure {
-				continue
-			}
-			walk(e.Callee, visited)
-		}
-	}
-	walk(n, make(map[*callgraph.Node]bool))
-	keys := make([]string, 0, len(seen))
-	for k := range seen {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]lockClass, len(keys))
-	for i, k := range keys {
-		out[i] = seen[k]
-	}
-	t.memo[n] = out
-	return out
-}
-
-// collectLockEvents walks every function node of pkg and records its
-// Lock/Unlock calls in source order, excluding nested literals (their
-// events belong to their own nodes).
-func collectLockEvents(pkg *Package, g *callgraph.Graph, events map[*callgraph.Node][]lockEvent) {
-	for _, file := range pkg.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fn, _ := pkg.Info.Defs[fd.Name].(*types.Func)
-			node := g.NodeOf(fn)
-			if node == nil {
-				continue
-			}
-			collectBodyLockEvents(pkg, g, node, fd.Body, fd.Name.Name, events)
-		}
-	}
-}
-
-// collectBodyLockEvents records one body's events and recurses into its
-// literals as separate nodes.
-func collectBodyLockEvents(pkg *Package, g *callgraph.Graph, node *callgraph.Node, body *ast.BlockStmt, funcName string, events map[*callgraph.Node][]lockEvent) {
-	inDefer := make(map[ast.Node]bool)
+// collect records one body and, as bodies of their own, the literals it
+// contains. funcName qualifies local mutex classes.
+func (c *lockCollector) collect(pkg *Package, body *ast.BlockStmt, funcName string) {
+	lb := &lockBody{end: body.End()}
+	c.bodies[body] = lb
+	c.order = append(c.order, body)
+	deferred := make(map[*ast.CallExpr]bool)
+	spawned := make(map[*ast.CallExpr]bool)
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch st := n.(type) {
 		case *ast.FuncLit:
-			if child := g.NodeOfLit(st); child != nil {
-				collectBodyLockEvents(pkg, g, child, st.Body, funcName, events)
-			}
+			c.collect(pkg, st.Body, funcName)
 			return false
 		case *ast.DeferStmt:
-			inDefer[st.Call] = true
-			return true
+			deferred[st.Call] = true
+		case *ast.GoStmt:
+			// The spawned call runs elsewhere; its arguments are
+			// evaluated here and are visited as children.
+			spawned[st.Call] = true
 		case *ast.CallExpr:
-			ev, ok := lockEventOf(pkg, st, funcName)
-			if !ok {
+			if spawned[st] {
 				return true
 			}
-			ev.deferred = inDefer[st]
-			events[node] = append(events[node], ev)
-			return true
+			if ev, ok := lockEventOf(pkg, st, funcName); ok {
+				ev.deferred = deferred[st]
+				lb.events = append(lb.events, ev)
+			} else if call, ok := c.call(pkg.Info, st); ok {
+				lb.calls = append(lb.calls, call)
+			}
 		}
 		return true
 	})
-	sort.SliceStable(events[node], func(i, j int) bool {
-		return events[node][i].pos < events[node][j].pos
-	})
+	sort.SliceStable(lb.events, func(i, j int) bool { return lb.events[i].pos < lb.events[j].pos })
+}
+
+// call classifies one call site: a literal invoked in place or a static
+// callee with a loaded body is followed, a dynamic call is recorded with
+// no callee, and anything else (built-ins, conversions, functions outside
+// the loaded packages) is dropped.
+func (c *lockCollector) call(info *types.Info, call *ast.CallExpr) (lockCall, bool) {
+	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
+		return lockCall{pos: call.Pos(), callee: lit.Body, name: "func literal"}, true
+	}
+	if fn := staticCallee(info, call); fn != nil {
+		d, ok := c.p.funcs.decl(fn)
+		if !ok {
+			return lockCall{}, false
+		}
+		return lockCall{pos: call.Pos(), callee: d.Body, name: fn.FullName()}, true
+	}
+	if !dynamicCall(info, call) {
+		return lockCall{}, false
+	}
+	name := "function value " + types.ExprString(call.Fun)
+	if fn := calleeFunc(info, call); fn != nil {
+		name = "interface method " + fn.FullName()
+	}
+	return lockCall{pos: call.Pos(), name: name}, true
+}
+
+// lockReach is what a body does, transitively over static calls: the lock
+// classes it acquires and the first dynamic call it makes, if any.
+type lockReach struct {
+	classes []lockClass
+	dynamic *lockCall
+}
+
+// reachOf walks the static calls from body, in source order.
+func (c *lockCollector) reachOf(body *ast.BlockStmt) lockReach {
+	if r, ok := c.reach[body]; ok {
+		return r
+	}
+	var r lockReach
+	seen := make(map[string]bool)
+	visited := make(map[*ast.BlockStmt]bool)
+	var walk func(b *ast.BlockStmt)
+	walk = func(b *ast.BlockStmt) {
+		lb := c.bodies[b]
+		if visited[b] || lb == nil {
+			return
+		}
+		visited[b] = true
+		for _, e := range lb.events {
+			if e.acquire && !seen[e.class.key] {
+				seen[e.class.key] = true
+				r.classes = append(r.classes, e.class)
+			}
+		}
+		for i, call := range lb.calls {
+			if call.callee == nil {
+				if r.dynamic == nil {
+					r.dynamic = &lb.calls[i]
+				}
+				continue
+			}
+			walk(call.callee)
+		}
+	}
+	walk(body)
+	sort.Slice(r.classes, func(i, j int) bool { return r.classes[i].key < r.classes[j].key })
+	c.reach[body] = r
+	return r
 }
 
 // syncLockMethod reports whether call invokes (R)Lock/(R)Unlock on a

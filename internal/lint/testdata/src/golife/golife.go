@@ -1,9 +1,10 @@
 // Package fixture exercises the golife analyzer: go statements with no
-// statically visible join or cancellation path carry // want comments;
-// WaitGroup joins, spawner-received channels (captured and through
-// parameters), ctx-derived exits, channel ranges, and unresolved targets
-// are false-positive coverage, and one deliberate detachment carries a
-// //lint:ignore suppression.
+// statically visible join or cancellation path carry // want comments,
+// and so does a spawn of a function value, which cannot be resolved
+// statically. WaitGroup joins, spawner-received channels (captured and
+// through parameters), ctx-derived exits, channel ranges, and join paths
+// reached over static calls are false-positive coverage, and one
+// deliberate detachment carries a //lint:ignore suppression.
 package fixture
 
 import (
@@ -90,7 +91,7 @@ func signal(d chan struct{}) {
 	close(d)
 }
 
-// spawnWorker finds its cancellation path interprocedurally: runLoop
+// spawnWorker finds its cancellation path over static calls: runLoop
 // shows nothing, but pump — reachable from it — selects on ctx.Done().
 func spawnWorker(ctx context.Context) {
 	go runLoop(ctx)
@@ -106,10 +107,10 @@ func pump(ctx context.Context) {
 	}
 }
 
-// spawnCallback's target is a function value with no visible binding:
-// unknown is not evidence of a leak, so it is accepted.
+// spawnCallback's target is a function value: its join path cannot be
+// seen statically, so the spawn is reported.
 func spawnCallback(fn func()) {
-	go fn()
+	go fn() // want "cannot resolve statically"
 }
 
 // detachedOnPurpose documents a goroutine that must outlive its spawner.

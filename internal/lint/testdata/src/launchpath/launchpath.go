@@ -1,8 +1,8 @@
 // Package fixture exercises the launchpath analyzer: fabricating the
 // model's result types outside internal/gpu — composite literals, field
-// writes, zero-value escapes, and laundering through helpers or
-// interface dispatch — carries // want comments; results genuinely
-// derived from Device.Launch are false-positive coverage.
+// writes, and zero-value escapes — carries // want comments where the
+// result is forged; results genuinely derived from Device.Launch, and
+// callers that pass a forged result on, are false-positive coverage.
 package fixture
 
 import "gpu"
@@ -41,9 +41,10 @@ func helperFab() gpu.LaunchResult {
 	return r
 }
 
-// escape re-exports helperFab's fabrication through a plain call.
+// escape re-exports helperFab's fabrication through a plain call: the
+// finding belongs to helperFab, where the result is forged.
 func escape() gpu.LaunchResult {
-	return helperFab() // want "fabricated outside internal/gpu by helperFab"
+	return helperFab()
 }
 
 // zeroOnly lets an untouched zero value escape as if it were modeled.
@@ -82,8 +83,8 @@ func copyOut(rs []gpu.LaunchResult) []gpu.LaunchResult {
 	return out
 }
 
-// provider dispatch: the cascade resolves interface calls through the
-// call graph, so a fabricating implementation taints viaIface.
+// provider dispatch: forger.result is reported where it forges, and
+// viaIface, which only passes the result on, is not.
 type provider interface{ result() gpu.LaunchResult }
 
 type forger struct{}
@@ -95,7 +96,7 @@ func (forger) result() gpu.LaunchResult {
 }
 
 func viaIface(p provider) gpu.LaunchResult {
-	return p.result() // want "fabricated outside internal/gpu by"
+	return p.result()
 }
 
 var _ = []any{fabricate, handOcc, launch, local, suppressed, helperFab,

@@ -1,8 +1,9 @@
 // Package fixture exercises the lockorder analyzer: lock-order cycles —
-// direct ABBA pairs and same-class self-deadlocks through calls — carry
-// // want comments; consistent orders, sibling-instance nesting, early
-// unlocks, and goroutine spawns are false-positive coverage, and one
-// reviewed cycle carries a //lint:ignore suppression.
+// direct ABBA pairs and same-class self-deadlocks through calls — and an
+// interface call made under a lock carry // want comments; consistent
+// orders, sibling-instance nesting, early unlocks, and goroutine spawns
+// are false-positive coverage, and one reviewed cycle carries a
+// //lint:ignore suppression.
 package fixture
 
 import "sync"
@@ -125,6 +126,29 @@ func lockQ2ThenQ1(x *q1, y *q2) {
 	x.mu.Unlock()
 }
 
+// registry calls through an interface while holding its lock: the
+// implementation, and so the locks it takes, is chosen at run time.
+type notifier interface{ notify() }
+
+type registry struct {
+	mu  sync.Mutex
+	obs notifier
+}
+
+func (r *registry) publish() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.obs.notify() // want "call through interface method (repro/internal/server/fixture.notifier).notify made while fixture.registry.mu is held"
+}
+
+// publishUnlocked makes the same call after releasing the lock: clean.
+func (r *registry) publishUnlocked() {
+	r.mu.Lock()
+	obs := r.obs
+	r.mu.Unlock()
+	obs.notify()
+}
+
 // mcache/mstore form a real cycle that has been reviewed and accepted:
 // the suppression documents why and is counted by the budget test.
 type mcache struct{ mu sync.Mutex }
@@ -146,4 +170,5 @@ func invalidate(c *mcache, s *mstore) {
 }
 
 var _ = []any{transferAB, transferBA, (*counter).incr, consistent1, consistent2,
-	mergeShards, seqAB, seqBA, spawnOpposite, fillCache, invalidate}
+	mergeShards, seqAB, seqBA, spawnOpposite, (*registry).publish,
+	(*registry).publishUnlocked, fillCache, invalidate}
